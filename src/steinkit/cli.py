@@ -62,11 +62,13 @@ def _write_samples(path: Path, rows: np.ndarray, integer: bool = False) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_state_csv(path: str) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().strip().splitlines():
-        rows.append([int(tok) for tok in line.split(",")])
-    return np.asarray(rows, dtype=int)
+def _read_csv(path: str, dtype=float) -> np.ndarray:
+    """A comma-separated data file as a 2-d array; a file that is missing or
+    does not parse is a config error."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"data file {path}: {exc}") from exc
 
 
 def validate_config(subcommand: str, config: dict) -> None:
@@ -149,20 +151,22 @@ def build_discrete_model(spec: dict, seed: int):
         params = models.random_bernoulli_rbm(rng, spec["dims"], spec["hidden"], spec.get("w_scale", 0.05))
         return models.bernoulli_rbm_target(params), None
     if kind == "categorical":
-        states = tuple(float(s) for s in spec["states"])
+        # log_mass looks states up by binary search, so they are kept sorted
+        states, first = np.unique(np.asarray(spec["states"], dtype=float), return_index=True)
         masses = np.asarray(spec["masses"], dtype=float)
-        if masses.size != len(states) or np.any(masses <= 0):
+        if masses.size != len(spec["states"]) or np.any(masses <= 0):
             raise ConfigError("categorical masses must be positive, one per state")
-        log_masses = np.log(masses)
-        states_arr = np.asarray(states)
+        if states.size < masses.size:
+            raise ConfigError("categorical states must be distinct")
+        log_masses = np.log(masses[first])
 
         def log_mass(z):
             z2 = np.atleast_2d(z)
-            idx = np.searchsorted(states_arr, z2[:, 0])
-            out = log_masses[np.clip(idx, 0, len(states) - 1)]
+            idx = np.searchsorted(states, z2[:, 0])
+            out = log_masses[np.clip(idx, 0, states.size - 1)]
             return out if np.asarray(z).ndim > 1 else out[0]
 
-        return models.DiscreteTarget(dims=1, alphabet=states, log_mass=log_mass), None
+        return models.DiscreteTarget(dims=1, alphabet=tuple(float(s) for s in states), log_mass=log_mass), None
     raise ConfigError(f"not a discrete model: {kind!r}")
 
 
@@ -325,7 +329,11 @@ def run_gof_cmd(cfg, seed, outdir, threads):
     target, params = build_discrete_model(cfg["model"], seed)
     param = discrete.make_parameterization(target)
     if "path" in cfg["data"]:
-        idx = _read_state_csv(cfg["data"]["path"])
+        path = cfg["data"]["path"]
+        idx = _read_csv(path, dtype=int)
+        if idx.shape[1] != target.dims or np.any((idx < 0) | (idx >= param.n_states)):
+            raise ConfigError(f"data file {path}: each row must hold {target.dims} state indices "
+                              f"in [0, {param.n_states})")
         z = np.asarray(param.alphabet)[idx]
     else:
         data_target, _ = build_discrete_model(cfg["data"]["model"], seed)
@@ -351,7 +359,7 @@ def run_bbis_cmd(cfg, seed, outdir, threads):
     surrogate = build_surrogate(cfg.get("surrogate"), target)
     pts = cfg["points"]
     if "path" in pts:
-        points = np.loadtxt(pts["path"], delimiter=",", ndmin=2)
+        points = _read_csv(pts["path"])
     else:
         points = models.gaussian_sampler(np.asarray(pts["mu"], dtype=float), pts["sigma"])(
             stream_rng(seed, STREAM_DATA), pts["n"]
@@ -474,7 +482,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         results = RUNNERS[args.subcommand](config, seed, outdir, max(1, args.threads))
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and every other bad-input error
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

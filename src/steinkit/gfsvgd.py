@@ -18,12 +18,12 @@ from scipy.special import logsumexp
 from .errors import DegenerateWeightsError
 from .kernels import KernelSpec, median_bandwidth, resolve_bandwidth
 from .models import ContinuousTarget, _rowwise
-from .svgd import (
+from .svgd import (  # noqa: F401  (apply_direction stays importable here for the clibench tracer)
     ParticleEnsemble,
     StepSchedule,
     annealed_targets,
     apply_direction,
-    init_ensemble,
+    run_particles,
     stein_direction,
 )
 
@@ -43,24 +43,28 @@ def surrogate_from_target(target: ContinuousTarget) -> Surrogate:
     return Surrogate(log_density=target.log_density, score=target.score)
 
 
+def effective_sample_size(log_w: np.ndarray) -> float:
+    """(sum w)^2 / sum w^2, computed in log space."""
+    return float(np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w)))
+
+
 @dataclass(frozen=True)
-class WeightTrack:
-    """Per-particle log importance weights log(rho-bar / p-bar)."""
+class WeightedSample:
+    """Positions with unnormalized log importance weights."""
 
-    log_w: np.ndarray
+    positions: np.ndarray
+    log_weights: np.ndarray
 
-    def normalized(self) -> np.ndarray:
-        w = np.exp(self.log_w - np.max(self.log_w))
+    def normalized_weights(self) -> np.ndarray:
+        top = np.max(self.log_weights)
+        if not np.isfinite(top):
+            raise DegenerateWeightsError("all importance weights vanished")
+        w = np.exp(self.log_weights - top)
         return w / w.sum()
 
     @property
     def ess(self) -> float:
-        return float(np.exp(2.0 * logsumexp(self.log_w) - logsumexp(2.0 * self.log_w)))
-
-
-def effective_sample_size(log_w: np.ndarray) -> float:
-    """(sum w)^2 / sum w^2, computed in log space."""
-    return float(np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w)))
+        return effective_sample_size(self.log_weights)
 
 
 def rank_normalized_weights(log_w: np.ndarray) -> np.ndarray:
@@ -111,6 +115,15 @@ def _direction_weights(log_w: np.ndarray, mode: str, ess_floor: float = 2.0) -> 
     return w, z
 
 
+def _gf_step(x, sq, target, surrogate, kernel, weight_mode, ess_floor) -> tuple[np.ndarray, float]:
+    """Gradient-free direction at ``x`` and the ESS of its raw importance weights."""
+    h = resolve_bandwidth(kernel, x, sq)
+    log_w = surrogate.log_density(x) - target.log_density(x)
+    ess = effective_sample_size(log_w)
+    w, z = _direction_weights(log_w, weight_mode, ess_floor)
+    return stein_direction(x, surrogate.score(x), w, z, h, sq=sq), ess
+
+
 def gf_svgd_direction(
     particles: np.ndarray,
     target: ContinuousTarget,
@@ -122,10 +135,7 @@ def gf_svgd_direction(
     """Gradient-free update direction: row i is
     (1/Z) sum_j w_j [ s_rho(x_j) k(x_j, x_i) + grad_{x_j} k(x_j, x_i) ]."""
     x = np.atleast_2d(np.asarray(particles, dtype=float))
-    h = resolve_bandwidth(kernel, x)
-    log_w = surrogate.log_density(x) - target.log_density(x)
-    w, z = _direction_weights(log_w, weight_mode, ess_floor)
-    return stein_direction(x, surrogate.score(x), w, z, h)
+    return _gf_step(x, None, target, surrogate, kernel, weight_mode, ess_floor)[0]
 
 
 def kernel_curve_surrogate(
@@ -165,7 +175,14 @@ def kernel_curve_surrogate(
 class GFSVGDResult:
     ensemble: ParticleEnsemble
     ess_history: np.ndarray
-    final_weights: WeightTrack
+    final_weights: WeightedSample
+
+
+def _gf_result(ensemble, ess_history, surrogate, target) -> GFSVGDResult:
+    x = ensemble.positions
+    log_w = surrogate.log_density(x) - target.log_density(x)
+    return GFSVGDResult(ensemble=ensemble, ess_history=np.array(ess_history, dtype=float),
+                        final_weights=WeightedSample(positions=x, log_weights=log_w))
 
 
 def run_gf_svgd(
@@ -180,34 +197,18 @@ def run_gf_svgd(
     init_sampler: Callable[[np.random.Generator, int], np.ndarray],
     callback: Optional[Callable[[ParticleEnsemble], None]] = None,
     ess_floor: float = 2.0,
-    weight_scaled_steps: bool = False,
 ) -> GFSVGDResult:
     """Run the gradient-free particle loop, recording the effective sample
-    size of the importance weights at every iteration.
+    size of the importance weights at every iteration."""
+    ess_history = []
 
-    ``weight_scaled_steps`` enables the variant where each particle's own
-    (self-normalized, n-scaled) importance weight multiplies its step, in
-    place of uniform step sizes; the default keeps steps uniform and leaves
-    adaptivity to the schedule.
-    """
-    ensemble = init_ensemble(init_sampler(rng, n))
-    if callback is not None:
-        callback(ensemble)
-    ess_history = np.empty(iters)
-    for i in range(iters):
-        x = ensemble.positions
-        h = resolve_bandwidth(kernel, x)
-        log_w = surrogate.log_density(x) - target.log_density(x)
-        ess_history[i] = effective_sample_size(log_w)
-        w, z = _direction_weights(log_w, weight_mode, ess_floor)
-        direction = stein_direction(x, surrogate.score(x), w, z, h)
-        if weight_scaled_steps:
-            direction = direction * (n * w / w.sum())[:, None]
-        ensemble = apply_direction(ensemble, direction, schedule)
-        if callback is not None:
-            callback(ensemble)
-    log_w = surrogate.log_density(ensemble.positions) - target.log_density(ensemble.positions)
-    return GFSVGDResult(ensemble=ensemble, ess_history=ess_history, final_weights=WeightTrack(log_w))
+    def direction(it, x, sq):
+        d, ess = _gf_step(x, sq, target, surrogate, kernel, weight_mode, ess_floor)
+        ess_history.append(ess)
+        return d
+
+    ensemble = run_particles(init_sampler(rng, n), iters, direction, schedule, callback)
+    return _gf_result(ensemble, ess_history, surrogate, target)
 
 
 def run_agf_svgd(
@@ -232,22 +233,16 @@ def run_agf_svgd(
     over the current particles.
     """
     path = annealed_targets(p0, target, betas)[1:]
-    ensemble = init_ensemble(p0_sampler(rng, n))
-    if callback is not None:
-        callback(ensemble)
-    ess_history = np.empty(len(path))
+    ess_history = []
     surrogate = None
-    for i, p_next in enumerate(path):
-        x = ensemble.positions
-        h_s = median_bandwidth(x) if smoothing_h is None else smoothing_h
-        surrogate = kernel_curve_surrogate(x, p_next.log_density(x), h_s)
-        h = resolve_bandwidth(kernel, x)
-        log_w = surrogate.log_density(x) - p_next.log_density(x)
-        ess_history[i] = effective_sample_size(log_w)
-        w, z = _direction_weights(log_w, "self-normalized", ess_floor)
-        direction = stein_direction(x, surrogate.score(x), w, z, h)
-        ensemble = apply_direction(ensemble, direction, schedule)
-        if callback is not None:
-            callback(ensemble)
-    log_w = surrogate.log_density(ensemble.positions) - target.log_density(ensemble.positions)
-    return GFSVGDResult(ensemble=ensemble, ess_history=ess_history, final_weights=WeightTrack(log_w))
+
+    def direction(it, x, sq):
+        nonlocal surrogate
+        h_s = median_bandwidth(x, sq) if smoothing_h is None else smoothing_h
+        surrogate = kernel_curve_surrogate(x, path[it].log_density(x), h_s)
+        d, ess = _gf_step(x, sq, path[it], surrogate, kernel, "self-normalized", ess_floor)
+        ess_history.append(ess)
+        return d
+
+    ensemble = run_particles(p0_sampler(rng, n), len(path), direction, schedule, callback)
+    return _gf_result(ensemble, ess_history, surrogate, target)

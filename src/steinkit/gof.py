@@ -24,12 +24,11 @@ from .discrete import (
     pc_log_density,
     smooth_relaxation_surrogate,
 )
-from .gfsvgd import Surrogate
+from .gfsvgd import Surrogate, WeightedSample
 from .kernels import median_bandwidth, pairwise_sq_dists
 from .ksd import gf_stein_gram, u_statistic_from_gram
 from .models import DiscreteTarget
 from .rngs import stream_rng
-from .steinis import WeightedSample
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def _resolve_surrogate(
         return base_surrogate(param)
     if mode == "relaxed":
         return smooth_relaxation_surrogate(null_target, param, temperature)
-    raise ValueError(f"unknown surrogate mode: {mode!r}")
+    raise ValueError(f"surrogate mode {mode!r} is not available for goodness-of-fit testing")
 
 
 def gof_gram(
@@ -95,8 +94,9 @@ def gof_gram(
         raise ValueError("goodness-of-fit testing needs at least two data points")
     x = continuize_data(z, param, rng)
     surrogate = _resolve_surrogate(surrogate_mode, null_target, param, temperature)
-    h = median_bandwidth(x) if kernel_h is None else float(kernel_h)
-    gram = gf_stein_gram(x, surrogate, lambda pts: pc_log_density(pts, param), h)
+    sq = pairwise_sq_dists(x, x)
+    h = median_bandwidth(x, sq) if kernel_h is None else float(kernel_h)
+    gram = gf_stein_gram(x, surrogate, lambda pts: pc_log_density(pts, param), h, sq=sq)
     return 0.5 * (gram + gram.T)
 
 

@@ -9,6 +9,7 @@ parameterization; the median heuristic below is stated for this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -90,17 +91,20 @@ def rbf_gram(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     return np.exp(-pairwise_sq_dists(x, y) / h)
 
 
-def median_bandwidth(points: np.ndarray) -> float:
+def median_bandwidth(points: np.ndarray, sq: Optional[np.ndarray] = None) -> float:
     """Median-heuristic bandwidth ``med^2 / (2 log(n + 1))``.
 
     ``med`` is the exact median of all n(n-1)/2 pairwise Euclidean distances
-    (no subsampling).  Raises if the point set is degenerate (med = 0).
+    (no subsampling).  ``sq`` is ``pairwise_sq_dists(points, points)`` when
+    the caller already has it.  Raises if the point set is degenerate
+    (med = 0).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least two points")
-    sq = pairwise_sq_dists(pts, pts)
+    if sq is None:
+        sq = pairwise_sq_dists(pts, pts)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(sq[iu])))
     if med <= 0.0:
@@ -108,8 +112,8 @@ def median_bandwidth(points: np.ndarray) -> float:
     return med ** 2 / (2.0 * np.log(n + 1.0))
 
 
-def resolve_bandwidth(kernel: KernelSpec, points: np.ndarray) -> float:
+def resolve_bandwidth(kernel: KernelSpec, points: np.ndarray, sq: Optional[np.ndarray] = None) -> float:
     """Fixed bandwidth, or the median heuristic over ``points``."""
     if isinstance(kernel.bandwidth, str):
-        return median_bandwidth(points)
+        return median_bandwidth(points, sq)
     return float(kernel.bandwidth)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -111,12 +111,14 @@ def gf_stein_kernel(
     return float(np.exp(log_wx + log_wy)) * (t1 + t2 + t3 + t4)
 
 
-def stein_gram(points: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
-    """kappa Gram matrix over one point set given precomputed scores."""
+def stein_gram(points: np.ndarray, scores: np.ndarray, h: float, sq: Optional[np.ndarray] = None) -> np.ndarray:
+    """kappa Gram matrix over one point set given precomputed scores; ``sq``
+    is ``pairwise_sq_dists(points, points)`` when the caller already has it."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
     s = np.atleast_2d(np.asarray(scores, dtype=float))
     n, d = x.shape
-    sq = pairwise_sq_dists(x, x)
+    if sq is None:
+        sq = pairwise_sq_dists(x, x)
     k = np.exp(-sq / h)
     a = np.einsum("nd,nd->n", s, x)
     b = s @ x.T
@@ -150,22 +152,21 @@ def gf_stein_gram(
     surrogate: Surrogate,
     log_p_fn: Callable,
     h: float,
-    center_log_weights: bool = True,
+    sq: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gram matrix of the gradient-free Stein kernel, w_i kappa_rho(x_i, x_j) w_j.
 
-    With ``center_log_weights`` the max log-weight is subtracted from every
-    log-weight before exponentiating, i.e. the matrix is returned up to the
-    positive factor exp(2 max log w).  Downstream uses (GF-SVGD directions,
-    bootstrap p-values, BBIS weights and their comparisons) are invariant to
-    that scale, which is what lets everything run on unnormalized densities.
+    The max log-weight is subtracted from every log-weight before
+    exponentiating, i.e. the matrix is returned up to the positive factor
+    exp(2 max log w).  Downstream uses (GF-SVGD directions, bootstrap
+    p-values, BBIS weights and their comparisons) are invariant to that
+    scale, which is what lets everything run on unnormalized densities.
+    ``sq`` is as in ``stein_gram``.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    kr = stein_gram(x, surrogate.score(x), h)
+    kr = stein_gram(x, surrogate.score(x), h, sq)
     log_w = np.asarray(surrogate.log_density(x), dtype=float) - np.asarray(log_p_fn(x), dtype=float)
-    if center_log_weights:
-        log_w = log_w - np.max(log_w)
-    w = np.exp(log_w)
+    w = np.exp(log_w - np.max(log_w))
     return w[:, None] * kr * w[None, :]
 
 

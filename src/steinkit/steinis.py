@@ -20,38 +20,19 @@ from scipy.linalg import lu_factor
 from scipy.special import logsumexp
 
 from .errors import (
-    DegenerateWeightsError,
     DivergenceError,
     InvalidApproximationError,
     SingularTransformError,
 )
+from .gfsvgd import WeightedSample
 from .kernels import KernelSpec, resolve_bandwidth
 from .models import ContinuousTarget
-from .svgd import DIVERGENCE_LIMIT, StepSchedule, stein_direction
+from .svgd import DIVERGENCE_LIMIT, StepSchedule, run_particles, stein_direction
 
 PIVOT_FLOOR = 1e-14
 FIRST_ORDER_EPS_MAX = 0.1
 AUTO_DIAG_GUARD = 0.5
 MAX_EPS_HALVINGS = 5
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """Positions with unnormalized log importance weights."""
-
-    positions: np.ndarray
-    log_weights: np.ndarray
-
-    def normalized_weights(self) -> np.ndarray:
-        top = np.max(self.log_weights)
-        if not np.isfinite(top):
-            raise DegenerateWeightsError("all importance weights vanished")
-        w = np.exp(self.log_weights - top)
-        return w / w.sum()
-
-    @property
-    def ess(self) -> float:
-        return float(np.exp(2.0 * logsumexp(self.log_weights) - logsumexp(2.0 * self.log_weights)))
 
 
 @dataclass(frozen=True)
@@ -90,12 +71,13 @@ def leader_velocity_field(
 
     def field(points: np.ndarray, with_jacobian: bool = False):
         y = np.atleast_2d(np.asarray(points, dtype=float))
-        phi = stein_direction(x_l, s_l, ones, float(n_l), h, eval_positions=y)
         if not with_jacobian:
-            return phi
+            return stein_direction(x_l, s_l, ones, float(n_l), h, eval_positions=y)
         d = y.shape[1]
         u = x_l[:, None, :] - y[None, :, :]
-        k = np.exp(-np.einsum("lmd,lmd->lm", u, u) / h)
+        sq = np.einsum("lmd,lmd->lm", u, u)
+        phi = stein_direction(x_l, s_l, ones, float(n_l), h, eval_positions=y, sq=sq)
+        k = np.exp(-sq / h)
         jac = (2.0 / h) * np.einsum("lm,ld,lme->mde", k, s_l, u)
         jac -= (4.0 / h ** 2) * np.einsum("lm,lmd,lme->mde", k, u, u)
         jac += (2.0 / h) * np.einsum("lm->m", k)[:, None, None] * np.eye(d)[None, :, :]
@@ -245,7 +227,8 @@ def path_integration_logZ(
     current particles) while running plain SVGD from q0, then returns
     K-hat - E_q0[log(q0 / p-bar)] with the expectation taken over m0 fresh
     q0 draws.  Requires a scalar step schedule so the accumulated eps matches
-    the steps actually taken.
+    the steps actually taken.  Runs on the shared particle loop, so positions
+    that turn non-finite or exceed the divergence limit raise DivergenceError.
     """
     from .ksd import stein_gram, v_statistic_from_gram
 
@@ -255,15 +238,13 @@ def path_integration_logZ(
         raise ValueError("path integration requires the target score")
     ref = q0_sampler(rng, m0)
     e0 = float(np.mean(np.asarray(q0_logpdf(ref), dtype=float) - np.asarray(target.log_density(ref), dtype=float)))
-    x = np.atleast_2d(q0_sampler(rng, n)).astype(float)
-    ones = np.ones(x.shape[0])
-    k_hat = 0.0
-    for it in range(iters):
-        h = resolve_bandwidth(kernel, x)
+    ksd2 = []
+
+    def direction(it, x, sq):
+        h = resolve_bandwidth(kernel, x, sq)
         s = np.atleast_2d(np.asarray(target.score(x), dtype=float))
-        eps = schedule.scalar_eps(it)
-        k_hat += eps * v_statistic_from_gram(stein_gram(x, s, h))
-        x = x + eps * stein_direction(x, s, ones, float(x.shape[0]), h)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite particle positions at iteration {it}")
-    return k_hat - e0
+        ksd2.append(v_statistic_from_gram(stein_gram(x, s, h, sq=sq)))
+        return stein_direction(x, s, np.ones(len(x)), float(len(x)), h, sq=sq)
+
+    run_particles(np.atleast_2d(q0_sampler(rng, n)), iters, direction, schedule)
+    return sum(schedule.scalar_eps(it) * v for it, v in enumerate(ksd2)) - e0

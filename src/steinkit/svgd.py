@@ -16,8 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import DivergenceError, MissingScoreError
-from .kernels import KernelSpec, resolve_bandwidth
+from .kernels import KernelSpec, pairwise_sq_dists, resolve_bandwidth
 from .models import ContinuousTarget
 
 DIVERGENCE_LIMIT = 1e8
@@ -78,19 +79,22 @@ def stein_direction(
     normalizer: float,
     h: float,
     eval_positions: Optional[np.ndarray] = None,
+    sq: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Weighted kernel-Stein velocity field evaluated at ``eval_positions``.
 
     Row i is  (1/Z) * sum_j w_j [ s_j k(x_j, y_i) + grad_{x_j} k(x_j, y_i) ],
-    with the RBF gradient expanded analytically.  Each output row is a
-    self-contained reduction over the source axis, so evaluating the field on
-    subsets of points yields bit-identical rows.
+    with the RBF gradient expanded analytically.  ``sq`` is
+    ``pairwise_sq_dists(src_positions, eval_positions)`` when the caller
+    already has it.  Each output row is a self-contained reduction over the
+    source axis, so evaluating the field on subsets of points yields
+    bit-identical rows.
     """
     x = src_positions
     y = x if eval_positions is None else eval_positions
-    diff = x[:, None, :] - y[None, :, :]
-    k = np.exp(-np.einsum("jid,jid->ji", diff, diff) / h)
-    wk = weights[:, None] * k
+    if sq is None:
+        sq = pairwise_sq_dists(x, y)
+    wk = weights[:, None] * np.exp(-sq / h)
     drive = np.einsum("ji,jd->id", wk, src_scores)
     colsum = np.einsum("ji->i", wk)
     cross = np.einsum("ji,jd->id", wk, x)
@@ -98,14 +102,14 @@ def stein_direction(
     return (drive + repulse) / normalizer
 
 
-def svgd_direction(particles: np.ndarray, target: ContinuousTarget, kernel: KernelSpec) -> np.ndarray:
-    """Standard SVGD update direction, one row per particle."""
+def svgd_direction(particles: np.ndarray, target: ContinuousTarget, kernel: KernelSpec, sq=None) -> np.ndarray:
+    """Standard SVGD update direction, one row per particle; ``sq`` as in ``stein_direction``."""
     x = np.atleast_2d(np.asarray(particles, dtype=float))
     if target.score is None:
         raise MissingScoreError("target has no analytic score; use the gradient-free update")
-    h = resolve_bandwidth(kernel, x)
+    h = resolve_bandwidth(kernel, x, sq)
     n = x.shape[0]
-    return stein_direction(x, target.score(x), np.ones(n), float(n), h)
+    return stein_direction(x, target.score(x), np.ones(n), float(n), h, sq=sq)
 
 
 def apply_direction(ensemble: ParticleEnsemble, direction: np.ndarray, schedule: StepSchedule) -> ParticleEnsemble:
@@ -136,14 +140,28 @@ def apply_direction(ensemble: ParticleEnsemble, direction: np.ndarray, schedule:
     return ParticleEnsemble(positions=new_positions, iteration=it + 1, adam_m=new_m, adam_v=new_v)
 
 
-def svgd_step(
-    ensemble: ParticleEnsemble,
-    target: ContinuousTarget,
-    kernel: KernelSpec,
+def run_particles(
+    positions: np.ndarray,
+    iters: int,
+    direction: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     schedule: StepSchedule,
+    callback: Optional[Callable[[ParticleEnsemble], None]] = None,
 ) -> ParticleEnsemble:
-    """One SVGD step against ``target``."""
-    return apply_direction(ensemble, svgd_direction(ensemble.positions, target, kernel), schedule)
+    """The particle loop of every SVGD-type sampler: iteration ``it`` moves
+    the particles by ``direction(it, x, sq)``, where ``sq`` holds the pairwise
+    squared distances of the current positions ``x``, computed once here for
+    the bandwidth and the direction alike.  ``callback`` is invoked on the
+    initial ensemble and after every step."""
+    ensemble = init_ensemble(positions)
+    if callback is not None:
+        callback(ensemble)
+    for it in range(iters):
+        x = ensemble.positions
+        # called through the module so that clibench's tracer times it as the kernels layer
+        ensemble = apply_direction(ensemble, direction(it, x, kernels.pairwise_sq_dists(x, x)), schedule)
+        if callback is not None:
+            callback(ensemble)
+    return ensemble
 
 
 def run_svgd(
@@ -156,18 +174,10 @@ def run_svgd(
     init_sampler: Callable[[np.random.Generator, int], np.ndarray],
     callback: Optional[Callable[[ParticleEnsemble], None]] = None,
 ) -> ParticleEnsemble:
-    """Run ``iters`` SVGD steps from ``init_sampler`` draws.
-
-    ``callback`` is invoked on the initial ensemble and after every step.
-    """
-    ensemble = init_ensemble(init_sampler(rng, n))
-    if callback is not None:
-        callback(ensemble)
-    for _ in range(iters):
-        ensemble = svgd_step(ensemble, target, kernel, schedule)
-        if callback is not None:
-            callback(ensemble)
-    return ensemble
+    """Run ``iters`` SVGD steps from ``init_sampler`` draws."""
+    return run_particles(
+        init_sampler(rng, n), iters, lambda it, x, sq: svgd_direction(x, target, kernel, sq), schedule, callback
+    )
 
 
 def annealed_targets(p0: ContinuousTarget, p: ContinuousTarget, betas: np.ndarray) -> list[ContinuousTarget]:
@@ -216,12 +226,7 @@ def run_annealed_svgd(
     temperature (m=1) suffices when the path is fine.
     """
     path = annealed_targets(p0, p, betas)[1:]
-    ensemble = init_ensemble(p0_sampler(rng, n))
-    if callback is not None:
-        callback(ensemble)
-    for tgt in path:
-        for _ in range(m):
-            ensemble = svgd_step(ensemble, tgt, kernel, schedule)
-            if callback is not None:
-                callback(ensemble)
-    return ensemble
+    return run_particles(
+        p0_sampler(rng, n), m * len(path), lambda it, x, sq: svgd_direction(x, path[it // m], kernel, sq),
+        schedule, callback,
+    )

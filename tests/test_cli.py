@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from steinkit.cli import main
+from steinkit.cli import build_discrete_model, main
 from steinkit.config_schema import CONFIG_SCHEMAS
 
 
@@ -43,6 +44,43 @@ class TestValidation:
         assert run_cli(["gof", "--print-schema"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["type"] == "object"
+
+
+GAUSS_1D = {"type": "gaussian", "mu": [0.0], "sigma": 1.0}
+ISING_2X2 = {"type": "ising-grid", "rows": 2, "cols": 2, "theta": 0.2}
+DUPLICATE_STATES = {"type": "categorical", "states": [0.0, 1.0, 0.0], "masses": [0.2, 0.3, 0.5]}
+BAD_INPUT = {
+    # name: (subcommand, config with DATA standing for the data file, data file text or None if missing)
+    "svgd-one-particle-median": ("svgd", {"model": GAUSS_1D, "n": 1, "iters": 2}, None),
+    "bbis-points-unparsable": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}}, "0.5\nnot-a-number\n"),
+    "bbis-points-missing": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}}, None),
+    "gof-data-unparsable": ("gof", {"model": ISING_2X2, "data": {"path": "DATA"}}, "1,0,1,0\n1,0,x,0\n"),
+    "gof-state-index-out-of-range": ("gof", {"model": ISING_2X2, "data": {"path": "DATA"}}, "1,0,1,0\n1,0,2,0\n"),
+    "gof-surrogate-exact": ("gof", {"model": ISING_2X2, "data": {"model": ISING_2X2, "n": 20},
+                                    "surrogate_mode": "exact"}, None),
+    "categorical-duplicate-states": ("discrete-sample", {"model": DUPLICATE_STATES, "n": 10, "iters": 2}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUT))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, name):
+    subcommand, cfg, data = BAD_INPUT[name]
+    data_path = tmp_path / "data.csv"
+    if data is not None:
+        data_path.write_text(data)
+    cfg = json.loads(json.dumps(cfg).replace('"DATA"', json.dumps(str(data_path))))
+    rc = run_cli([subcommand, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: config:")
+
+
+def test_categorical_states_keep_their_own_masses():
+    states, masses = [1.0, -1.0, 0.0], [0.7, 0.2, 0.1]
+    target, _ = build_discrete_model({"type": "categorical", "states": states, "masses": masses}, 0)
+    assert target.alphabet == (-1.0, 0.0, 1.0)
+    for s, m in zip(states, masses):
+        assert target.log_mass(np.array([[s]]))[0] == np.log(m)
 
 
 class TestDeterminismAndReduction:

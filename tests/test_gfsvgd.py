@@ -198,6 +198,29 @@ class TestRuns:
         expected = x0 + 0.1 * d
         assert np.array_equal(res.ensemble.positions, expected)
 
+    @pytest.mark.parametrize("mode", ["plain", "rank"])
+    def test_run_gf_svgd_replays_by_hand(self, mode):
+        t = gaussian_target(np.array([0.3, -0.3]), 1.0)
+        rho = gaussian_target(np.zeros(2), 1.5)
+        sched = StepSchedule(mode="constant", eps=0.1)
+        sampler = gaussian_sampler(np.zeros(2), 2.0)
+        res = run_gf_svgd(t, Surrogate(rho.log_density, rho.score), 20, 3, KernelSpec(), sched,
+                          mode, stream_rng(37, 1), sampler)
+        x = sampler(stream_rng(37, 1), 20)
+        ess = []
+        for _ in range(3):
+            log_w = rho.log_density(x) - t.log_density(x)
+            ess.append(effective_sample_size(log_w))
+            if mode == "plain":
+                w, z = np.exp(log_w), 20.0
+            else:
+                w = rank_normalized_weights(log_w)
+                z = float(w.sum())
+            x = x + 0.1 * stein_direction(x, rho.score(x), w, z, median_bandwidth(x))
+        assert np.array_equal(res.ensemble.positions, x)
+        assert np.array_equal(res.ess_history, np.array(ess))
+        assert res.final_weights.ess == effective_sample_size(rho.log_density(x) - t.log_density(x))
+
     def test_ess_recorded_each_iteration(self):
         t = gaussian_target(np.zeros(1), 1.0)
         rho = gaussian_target(np.zeros(1), 2.0)
@@ -217,20 +240,10 @@ def test_effective_sample_size_matches_direct_formula():
     assert effective_sample_size(log_w) == pytest.approx(direct, rel=1e-10)
 
 
-def test_weight_track_normalizes_to_one():
-    from steinkit.gfsvgd import WeightTrack
+def test_weighted_sample_normalizes_to_one():
+    from steinkit.gfsvgd import WeightedSample
 
-    track = WeightTrack(log_w=stream_rng(38, 0).normal(size=64) * 5.0)
-    assert track.normalized().sum() == pytest.approx(1.0, abs=1e-12)
-    assert 1.0 <= track.ess <= 64.0
-
-
-def test_weight_scaled_step_variant_runs():
-    t = gaussian_target(np.zeros(1), 1.0)
-    rho = gaussian_target(np.zeros(1), 2.0)
-    res = run_gf_svgd(t, Surrogate(rho.log_density, rho.score), 40, 200, KernelSpec(),
-                      StepSchedule(mode="adam", eps=0.05), "self-normalized",
-                      stream_rng(38, 1), gaussian_sampler(np.zeros(1), 2.0),
-                      weight_scaled_steps=True)
-    assert abs(res.ensemble.positions.mean()) < 0.3
-    assert np.all(np.isfinite(res.ensemble.positions))
+    log_w = stream_rng(38, 0).normal(size=64) * 5.0
+    sample = WeightedSample(positions=np.zeros((64, 1)), log_weights=log_w)
+    assert sample.normalized_weights().sum() == pytest.approx(1.0, abs=1e-12)
+    assert 1.0 <= sample.ess <= 64.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steinkit.errors import InvalidApproximationError, SingularTransformError
+from steinkit.errors import DivergenceError, InvalidApproximationError, SingularTransformError
 from steinkit.kernels import KernelSpec
 from steinkit.models import ContinuousTarget, gaussian_logpdf, gaussian_sampler, gaussian_target
 from steinkit.rngs import stream_rng
@@ -247,6 +247,32 @@ class TestPathIntegration:
                                     KernelSpec(bandwidth=1.0), StepSchedule(mode="constant", eps=0.05),
                                     100000, stream_rng(55, 0))
         assert abs(val) < 0.05
+
+    def test_replays_by_hand(self):
+        from steinkit.kernels import median_bandwidth
+        from steinkit.ksd import stein_gram, v_statistic_from_gram
+        from steinkit.svgd import stein_direction
+
+        t = gaussian_target(np.array([1.0, 0.0]), 1.0)
+        sampler, q0l = gaussian_sampler(np.zeros(2), 2.0), gaussian_logpdf(np.zeros(2), 2.0)
+        sched = StepSchedule(mode="decay", eps=0.1)
+        val = path_integration_logZ(t, sampler, q0l, 18, 2, KernelSpec(), sched, 50, stream_rng(55, 2))
+        rng = stream_rng(55, 2)
+        ref = sampler(rng, 50)
+        e0 = float(np.mean(q0l(ref) - t.log_density(ref)))
+        x = sampler(rng, 18)
+        k_hat = 0.0
+        for it in range(2):
+            h, s, eps = median_bandwidth(x), t.score(x), sched.scalar_eps(it)
+            k_hat += eps * v_statistic_from_gram(stein_gram(x, s, h))
+            x = x + eps * stein_direction(x, s, np.ones(18), 18.0, h)
+        assert val == k_hat - e0
+
+    def test_divergence_limit_applies(self):
+        t = gaussian_target(np.zeros(1), 1.0)
+        with pytest.raises(DivergenceError, match="exceeded"):
+            path_integration_logZ(t, gaussian_sampler(np.zeros(1), 2.0), gaussian_logpdf(np.zeros(1), 2.0), 20, 3,
+                                  KERN, StepSchedule(mode="constant", eps=1e9), 100, stream_rng(55, 3))
 
     def test_scaling_density_shifts_estimate(self):
         t = gaussian_target(np.zeros(1), 1.0)

@@ -11,11 +11,10 @@ from steinkit.svgd import (
     StepSchedule,
     annealed_targets,
     apply_direction,
-    init_ensemble,
     run_annealed_svgd,
     run_svgd,
+    stein_direction,
     svgd_direction,
-    svgd_step,
 )
 
 KERN = KernelSpec(bandwidth=1.0)
@@ -62,15 +61,14 @@ class TestDirection:
 class TestStep:
     def test_zero_eps_keeps_positions(self):
         t = gaussian_target(np.zeros(2), 1.0)
-        ens = init_ensemble(stream_rng(23, 0).standard_normal((8, 2)))
-        out = svgd_step(ens, t, KERN, StepSchedule(mode="constant", eps=0.0))
-        assert np.array_equal(out.positions, ens.positions)
+        x0 = stream_rng(23, 0).standard_normal((8, 2))
+        out = run_svgd(t, 8, 1, KERN, StepSchedule(mode="constant", eps=0.0), None, lambda rng, n: x0)
+        assert np.array_equal(out.positions, x0)
         assert out.iteration == 1
 
     def test_particle_at_mode_stays(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        ens = init_ensemble(np.zeros((1, 1)))
-        out = svgd_step(ens, t, KERN, StepSchedule(mode="constant", eps=0.1))
+        out = run_svgd(t, 1, 1, KERN, StepSchedule(mode="constant", eps=0.1), None, lambda rng, n: np.zeros((n, 1)))
         assert np.array_equal(out.positions, np.zeros((1, 1)))
 
     def test_divergence_guard_reports_iteration(self):
@@ -103,6 +101,39 @@ class TestStep:
         x = ens.positions
         assert abs(x.mean()) < 0.1
         assert abs((x ** 2).mean() - 5.0) < 0.5
+
+
+class TestReplay:
+    # each run against a hand-written replay of its loop, bit for bit
+    @pytest.mark.parametrize("kernel", [KernelSpec(bandwidth=0.8), KernelSpec()], ids=["fixed", "median"])
+    def test_run_svgd_replays_by_hand(self, kernel):
+        t = gmm_target(np.array([0.3, 0.7]), np.array([[-1.0, 0.5], [1.5, 0.0]]), 1.0)
+        sched = StepSchedule(mode="decay", eps=0.2)
+        sampler = gaussian_sampler(np.zeros(2), 3.0)
+        ens = run_svgd(t, 15, 4, kernel, sched, stream_rng(31, 0), sampler)
+        x = sampler(stream_rng(31, 0), 15)
+        for it in range(4):
+            h = 0.8 if kernel.bandwidth == 0.8 else median_bandwidth(x)
+            x = x + sched.scalar_eps(it) * stein_direction(x, t.score(x), np.ones(15), 15.0, h)
+        assert ens.iteration == 4
+        assert np.array_equal(ens.positions, x)
+
+    def test_run_annealed_svgd_replays_by_hand(self):
+        p0 = gaussian_target(np.zeros(2), 4.0)
+        p = gmm_target(np.array([0.5, 0.5]), np.array([[-1.0, 0.0], [1.0, 1.0]]), 1.0)
+        betas = np.array([0.0, 0.5, 1.0])
+        sched = StepSchedule(mode="decay", eps=0.2)
+        sampler = gaussian_sampler(np.zeros(2), 4.0)
+        ens = run_annealed_svgd(p0, p, betas, 2, 12, KernelSpec(), sched, stream_rng(32, 0), sampler)
+        x = sampler(stream_rng(32, 0), 12)
+        it = 0
+        for tgt in annealed_targets(p0, p, betas)[1:]:
+            for _ in range(2):
+                d = stein_direction(x, tgt.score(x), np.ones(12), 12.0, median_bandwidth(x))
+                x = x + sched.scalar_eps(it) * d
+                it += 1
+        assert ens.iteration == 4
+        assert np.array_equal(ens.positions, x)
 
 
 class TestAnnealedTargets:
