@@ -365,10 +365,10 @@ def run_bbis_cmd(cfg, seed, outdir, threads):
             stream_rng(seed, STREAM_DATA), pts["n"]
         )
     kernel_h = cfg.get("kernel_h", "median-heuristic")
-    h = kernels.median_bandwidth(points) if kernel_h == "median-heuristic" else float(kernel_h)
-    weights = ksd.bbis_weights(points, surrogate, target.log_density, h,
-                               max_iter=cfg.get("max_iter", 10000), tol=cfg.get("tol", 1e-10))
-    gram = ksd.gf_stein_gram(points, surrogate, target.log_density, h)
+    sq = kernels.pairwise_sq_dists(points, points)
+    h = kernels.median_bandwidth(points, sq) if kernel_h == "median-heuristic" else float(kernel_h)
+    gram = ksd.gf_stein_gram(points, surrogate, target.log_density, h, sq=sq)
+    weights = ksd.bbis_weights(gram, max_iter=cfg.get("max_iter", 10000), tol=cfg.get("tol", 1e-10))
     objective = float(weights @ gram @ weights)
     uniform = np.full(points.shape[0], 1.0 / points.shape[0])
     metrics = MetricsWriter()

@@ -140,7 +140,7 @@ _DISCRETE_MODEL = {
     ]
 }
 
-_SURROGATE_MODE = {"enum": ["base", "relaxed", "exact", "ising"]}
+_SURROGATE_MODE = {"enum": ["base", "relaxed", "ising"]}
 _BANDWIDTH_OR_MEDIAN = {
     "oneOf": [{"type": "number", "exclusiveMinimum": 0}, {"const": "median-heuristic"}]
 }

@@ -159,9 +159,13 @@ def base_surrogate(param: ContinuousParameterization) -> Surrogate:
 
 
 def exact_pc_surrogate(param: ContinuousParameterization) -> Surrogate:
-    """p_c itself with its almost-everywhere score (-x inside every bin).
+    """p_c as log density, paired with its almost-everywhere score -x.
 
-    Importance weights are identically 1 on this path; useful as a reference.
+    Not a valid sampling surrogate: -x ignores the jumps of p_c between bins,
+    so it is not the score of this density.  The importance weights are
+    identically 1 and GF-SVGD with this surrogate runs plain SVGD on the
+    N(0, I) base, which maps to the uniform law over states whatever the
+    target.  No surrogate mode selects it; it is kept as a reference only.
     """
     return Surrogate(
         log_density=lambda x: pc_log_density(x, param),
@@ -251,10 +255,10 @@ def sample_discrete(
 ) -> DiscreteSampleResult:
     """Draw approximate samples from a discrete target via GF-SVGD on p_c.
 
-    ``surrogate_mode`` is one of ``"base"``, ``"relaxed"``, ``"exact"`` or a
-    prebuilt Surrogate (e.g. from ``ising_surrogate``).  Particles start from
-    the standard-normal base unless ``init_sampler`` overrides, and the final
-    particles map to states through the quantile bins.
+    ``surrogate_mode`` is ``"base"``, ``"relaxed"`` or a prebuilt Surrogate
+    (e.g. from ``ising_surrogate``).  Particles start from the standard-normal
+    base unless ``init_sampler`` overrides, and the final particles map to
+    states through the quantile bins.
     """
     param = make_parameterization(target)
     if isinstance(surrogate_mode, Surrogate):
@@ -263,8 +267,6 @@ def sample_discrete(
         surrogate = base_surrogate(param)
     elif surrogate_mode == "relaxed":
         surrogate = smooth_relaxation_surrogate(target, param, temperature)
-    elif surrogate_mode == "exact":
-        surrogate = exact_pc_surrogate(param)
     else:
         raise ValueError(f"unknown surrogate mode: {surrogate_mode!r}")
     if init_sampler is None:

@@ -25,7 +25,7 @@ from .discrete import (
     smooth_relaxation_surrogate,
 )
 from .gfsvgd import Surrogate, WeightedSample
-from .kernels import median_bandwidth, pairwise_sq_dists
+from .kernels import median_bandwidth, pairwise_sq_dists, rbf_gram
 from .ksd import gf_stein_gram, u_statistic_from_gram
 from .models import DiscreteTarget
 from .rngs import stream_rng
@@ -194,11 +194,9 @@ def mmd_hamming(z_samples_1: np.ndarray, z_samples_2: np.ndarray) -> float:
 
 def mmd_rbf(x: np.ndarray, y: np.ndarray, kernel_h: float) -> float:
     """Biased MMD^2 between two plain samples under the RBF kernel."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    kxx = np.exp(-pairwise_sq_dists(x, x) / kernel_h)
-    kyy = np.exp(-pairwise_sq_dists(y, y) / kernel_h)
-    kxy = np.exp(-pairwise_sq_dists(x, y) / kernel_h)
+    kxx = rbf_gram(x, x, kernel_h)
+    kyy = rbf_gram(y, y, kernel_h)
+    kxy = rbf_gram(x, y, kernel_h)
     return float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())
 
 
@@ -208,8 +206,8 @@ def weighted_mmd(x_weighted: WeightedSample, y_exact: np.ndarray, kernel_h: floa
     w = x_weighted.normalized_weights()
     x = np.atleast_2d(x_weighted.positions)
     y = np.atleast_2d(np.asarray(y_exact, dtype=float))
-    kxx = np.exp(-pairwise_sq_dists(x, x) / kernel_h)
-    kxy = np.exp(-pairwise_sq_dists(x, y) / kernel_h)
-    kyy = np.exp(-pairwise_sq_dists(y, y) / kernel_h)
+    kxx = rbf_gram(x, x, kernel_h)
+    kxy = rbf_gram(x, y, kernel_h)
+    kyy = rbf_gram(y, y, kernel_h)
     m = y.shape[0]
     return float(w @ kxx @ w - (2.0 / m) * (w @ kxy).sum() + kyy.sum() / m ** 2)

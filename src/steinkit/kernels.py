@@ -1,4 +1,4 @@
-"""RBF kernel, bandwidth heuristics, and the importance-weighted kernel.
+"""RBF kernel, pairwise squared distances and bandwidth heuristics.
 
 Bandwidth convention: ``k(x, y) = exp(-||x - y||^2 / h)`` with the squared
 distance divided by ``h`` directly.  There is no factor 2 in the denominator
@@ -40,37 +40,6 @@ class KernelSpec:
             raise ValueError("explicit bandwidth must be > 0")
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 1:
-        raise ValueError("x and y must be 1-d vectors of equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("kernel inputs must be finite")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError("bandwidth h must be a positive finite real")
-    return x, y
-
-
-def rbf_eval(x: np.ndarray, y: np.ndarray, h: float) -> float:
-    """k(x, y) = exp(-||x - y||^2 / h); always in (0, 1]."""
-    x, y = _check_pair(x, y, h)
-    return float(np.exp(-np.sum((x - y) ** 2) / h))
-
-
-def rbf_grad_x(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """Gradient of ``rbf_eval`` in its first argument: -(2/h)(x - y) k(x, y)."""
-    x, y = _check_pair(x, y, h)
-    return -(2.0 / h) * (x - y) * np.exp(-np.sum((x - y) ** 2) / h)
-
-
-def weighted_kernel_eval(x: np.ndarray, y: np.ndarray, w_x: float, w_y: float, h: float) -> float:
-    """Importance-weighted kernel w(x) w(y) k(x, y); weights must be >= 0."""
-    if w_x < 0 or w_y < 0:
-        raise ValueError("kernel weights must be nonnegative")
-    return w_x * w_y * rbf_eval(x, y, h)
-
-
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All squared Euclidean distances between rows of x (n,d) and y (m,d).
 
@@ -85,9 +54,11 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def rbf_gram(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(x_i, y_j)."""
+    """Kernel matrix K[i, j] = k(x_i, y_j); every entry lies in [0, 1]."""
     if not (np.isfinite(h) and h > 0):
         raise ValueError("bandwidth h must be a positive finite real")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("kernel inputs must be finite")
     return np.exp(-pairwise_sq_dists(x, y) / h)
 
 

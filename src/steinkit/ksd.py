@@ -1,9 +1,12 @@
-"""Kernelized Stein discrepancy machinery.
+"""Kernelized Stein discrepancy machinery, assembled as Gram matrices.
 
-Score-based Stein kernel kappa_p, its gradient-free importance-weighted form
-w(x) kappa_rho(x,y) w(y), alpha-weighted variant, U/V statistics, and
-black-box importance-sampling weights via a simplex-constrained quadratic
-program.
+``stein_gram`` is the score-based Stein kernel matrix kappa_p(x_i, x_j) over
+one point set, ``stein_gram_cross`` its rectangular form between two sets,
+``gf_stein_gram`` the gradient-free importance-weighted matrix
+w_i kappa_rho(x_i, x_j) w_j and ``alpha_stein_gram`` the density-power-weighted
+variant.  U/V statistics are read off a Gram, and black-box importance
+sampling weights solve a simplex-constrained quadratic program in the
+gradient-free Gram.
 
 For the RBF kernel all derivative terms are analytic; the double-derivative
 trace is k * (2 d / h - 4 ||x - y||^2 / h^2) and that single expression is the
@@ -13,7 +16,6 @@ source of truth everywhere in the package (no autodiff anywhere).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,94 +23,6 @@ import numpy as np
 from .errors import NumericalFailure
 from .gfsvgd import Surrogate
 from .kernels import pairwise_sq_dists
-
-
-@dataclass(frozen=True)
-class SteinKernelMatrix:
-    """Symmetric Gram matrix of a Stein kernel with its flavor tag."""
-
-    values: np.ndarray
-    flavor: str  # "score" | "gradient-free" | "alpha"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", 0.5 * (v + v.T))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def _scalar(value) -> float:
-    """Accepts scalars or length-1 arrays from user-supplied log densities."""
-    return float(np.asarray(value, dtype=float).reshape(-1)[0])
-
-
-def _pair_terms(x, y, sx, sy, h):
-    """The four analytic terms of the Stein kernel for one point pair."""
-    sx = np.asarray(sx, dtype=float).reshape(-1)
-    sy = np.asarray(sy, dtype=float).reshape(-1)
-    d = x.size
-    r2 = float(np.sum((x - y) ** 2))
-    k = np.exp(-r2 / h)
-    t1 = float(sx @ sy) * k
-    t2 = (2.0 / h) * k * float(sx @ (x - y))
-    t3 = (2.0 / h) * k * float(sy @ (y - x))
-    t4 = k * (2.0 * d / h - 4.0 * r2 / h ** 2)
-    return t1, t2, t3, t4
-
-
-def stein_kernel(x: np.ndarray, y: np.ndarray, score_fn: Callable, kernel_h: float) -> float:
-    """kappa_p(x, y) for the RBF kernel, all four terms analytic."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    t1, t2, t3, t4 = _pair_terms(x, y, np.asarray(score_fn(x), dtype=float), np.asarray(score_fn(y), dtype=float), kernel_h)
-    return t1 + t2 + t3 + t4
-
-
-def alpha_stein_kernel(
-    x: np.ndarray,
-    y: np.ndarray,
-    log_p_fn: Callable,
-    score_fn: Callable,
-    alpha: float,
-    kernel_h: float,
-) -> float:
-    """Density-power-weighted Stein kernel
-    p(x)^a p(y)^a [ (a+1)^2 s's k + (a+1) s'grad_y k + (a+1) s'grad_x k + tr term ].
-
-    ``p^a`` uses the unnormalized density, so the overall scale carries the
-    (unknown) normalization constant to the 2a power; a = 0 recovers
-    ``stein_kernel`` exactly.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    t1, t2, t3, t4 = _pair_terms(x, y, np.asarray(score_fn(x), dtype=float), np.asarray(score_fn(y), dtype=float), kernel_h)
-    scale = np.exp(alpha * (_scalar(log_p_fn(x)) + _scalar(log_p_fn(y))))
-    a1 = alpha + 1.0
-    return scale * (a1 ** 2 * t1 + a1 * t2 + a1 * t3 + t4)
-
-
-def gf_stein_kernel(
-    x: np.ndarray,
-    y: np.ndarray,
-    surrogate: Surrogate,
-    log_p_fn: Callable,
-    kernel_h: float,
-) -> float:
-    """Gradient-free Stein kernel w(x) kappa_rho(x, y) w(y).
-
-    The weight product is formed as exp(log w_x + log w_y); for large point
-    sets prefer ``gf_stein_gram`` which centers the log-weights first.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    t1, t2, t3, t4 = _pair_terms(
-        x, y, np.asarray(surrogate.score(x), dtype=float), np.asarray(surrogate.score(y), dtype=float), kernel_h
-    )
-    log_wx = _scalar(surrogate.log_density(x)) - _scalar(log_p_fn(x))
-    log_wy = _scalar(surrogate.log_density(y)) - _scalar(log_p_fn(y))
-    return float(np.exp(log_wx + log_wy)) * (t1 + t2 + t3 + t4)
 
 
 def stein_gram(points: np.ndarray, scores: np.ndarray, h: float, sq: Optional[np.ndarray] = None) -> np.ndarray:
@@ -170,19 +84,24 @@ def gf_stein_gram(
     return w[:, None] * kr * w[None, :]
 
 
+def alpha_stein_gram(points: np.ndarray, log_p_fn: Callable, score_fn: Callable, alpha: float, h: float) -> np.ndarray:
+    """Density-power-weighted Stein kernel matrix
+    p_i^a p_j^a [ (a+1)^2 s_i's_j k + (a+1) s_i'grad_y k + (a+1) s_j'grad_x k + tr term ].
+
+    Scaling the scores by a + 1 gives ``stein_gram`` exactly those four
+    weights.  ``p^a`` uses the unnormalized density, so the overall scale
+    carries the (unknown) normalization constant to the 2a power; a = 0
+    recovers ``stein_gram`` bit for bit.
+    """
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    log_p = np.asarray(log_p_fn(x), dtype=float)
+    scale = np.exp(alpha * (log_p[:, None] + log_p[None, :]))
+    return scale * stein_gram(x, (alpha + 1.0) * np.asarray(score_fn(x), dtype=float), h)
+
+
 # ---------------------------------------------------------------------------
 # U / V statistics
 # ---------------------------------------------------------------------------
-
-def _gram_from_pairs(points: np.ndarray, kernel_fn: Callable) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n = x.shape[0]
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = kernel_fn(x[i], x[j])
-    return g
-
 
 def v_statistic_from_gram(gram: np.ndarray) -> float:
     return float(gram.mean())
@@ -193,20 +112,6 @@ def u_statistic_from_gram(gram: np.ndarray) -> float:
     if n < 2:
         raise ValueError("U-statistic needs at least two points")
     return float((gram.sum() - np.trace(gram)) / (n * (n - 1)))
-
-
-def v_statistic(points: np.ndarray, kernel_fn: Callable) -> float:
-    """Full double-sum estimator (1/n^2) sum_ij kappa(x_i, x_j)."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    if x.shape[0] < 1:
-        raise ValueError("V-statistic needs at least one point")
-    return v_statistic_from_gram(_gram_from_pairs(x, kernel_fn))
-
-
-def u_statistic(points: np.ndarray, kernel_fn: Callable) -> float:
-    """Off-diagonal-only estimator (1/(n(n-1))) sum_{i != j} kappa(x_i, x_j)."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    return u_statistic_from_gram(_gram_from_pairs(x, kernel_fn))
 
 
 def ksd_v_statistic(points: np.ndarray, score_fn: Callable, h: float) -> float:
@@ -277,30 +182,23 @@ def solve_simplex_qp(gram: np.ndarray, max_iter: int = 10000, tol: float = 1e-10
     return best_u
 
 
-def bbis_weights(
-    points: np.ndarray,
-    surrogate: Surrogate,
-    log_p_fn: Callable,
-    kernel_h: float,
-    max_iter: int = 10000,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def bbis_weights(gram: np.ndarray, max_iter: int = 10000, tol: float = 1e-10) -> np.ndarray:
     """Importance weights for arbitrary particles by minimizing the empirical
-    gradient-free KSD u' K-tilde u subject to u on the probability simplex."""
-    gram = gf_stein_gram(points, surrogate, log_p_fn, kernel_h)
-    gram = 0.5 * (gram + gram.T)
-    return solve_simplex_qp(gram, max_iter=max_iter, tol=tol)
+    gradient-free KSD u' K-tilde u subject to u on the probability simplex;
+    ``gram`` is ``gf_stein_gram`` over the particles."""
+    gram = np.asarray(gram, dtype=float)
+    return solve_simplex_qp(0.5 * (gram + gram.T), max_iter=max_iter, tol=tol)
 
 
-def bbis_error_bound(weights: np.ndarray, points: np.ndarray, gf_kernel_fn: Callable) -> float:
-    """sqrt(u' K-tilde u): the sample-dependent factor of the integration-error
-    bound (the RKHS norm of the test function is reported separately by the
-    caller as an unknown scale)."""
+def bbis_error_bound(weights: np.ndarray, gram: np.ndarray) -> float:
+    """sqrt(u' K-tilde u) for ``gram`` = K-tilde from ``gf_stein_gram``: the
+    sample-dependent factor of the integration-error bound (the RKHS norm of
+    the test function is reported separately by the caller as an unknown
+    scale)."""
     u = np.asarray(weights, dtype=float)
     if abs(u.sum() - 1.0) > 1e-8 or u.min() < -1e-12:
         raise ValueError("weights must lie on the probability simplex")
-    gram = _gram_from_pairs(points, gf_kernel_fn)
-    quad = float(u @ gram @ u)
+    quad = float(u @ np.asarray(gram, dtype=float) @ u)
     if quad < -1e-10:
         raise NumericalFailure(f"quadratic form is negative beyond tolerance: {quad:.3e}")
     return float(np.sqrt(max(quad, 0.0)))

@@ -108,13 +108,10 @@ def test_criterion_3_reduction_identity():
     p_log = models.gaussian_logpdf(np.zeros(1), 1.0)
     scorer = models.gaussian_target(np.zeros(1), 1.0).score
     surrogate = gfsvgd.Surrogate(p_log, scorer)
-    rng = stream_rng(1003, 1)
-    worst = 0.0
-    for _ in range(100):
-        x, y = rng.standard_normal(1), rng.standard_normal(1)
-        a = ksd.gf_stein_kernel(x, y, surrogate, p_log, 1.0)
-        b = ksd.stein_kernel(x, y, scorer, 1.0)
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    x = stream_rng(1003, 1).standard_normal((100, 1))
+    a = ksd.gf_stein_gram(x, surrogate, p_log, 1.0)
+    b = ksd.stein_gram(x, scorer(x), 1.0)
+    worst = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
     report(3, "gradient-free-reduction", ok_traj and worst <= 1e-10,
            f"trajectories bit-identical: {ok_traj}; kernel max rel diff {worst:.2e}")
 
@@ -184,7 +181,8 @@ def test_criterion_8_discrete_sampler():
     # (b) 3x3 Ising site means against exhaustive enumeration
     target = models.ising_target(models.grid_ising(3, 3, 0.2))
     oracle = models.brute_force_distribution(target) @ models.enumerate_states(target.alphabet, 9)
-    res_b = discrete.sample_discrete(target, "exact", 1000, 500, KERN_MEDIAN, ADAM, stream_rng(100, 0))
+    exact_pc = discrete.exact_pc_surrogate(discrete.make_parameterization(target))
+    res_b = discrete.sample_discrete(target, exact_pc, 1000, 500, KERN_MEDIAN, ADAM, stream_rng(100, 0))
     site_err = float(np.max(np.abs(res_b.states.mean(axis=0) - oracle)))
 
     # (c) even-partition Monte Carlo bin frequencies
@@ -242,7 +240,7 @@ def test_criterion_10_bbis():
         rng = stream_rng(200, trial)
         pts = rng.normal(1.0, 1.0, size=(50, 1))
         h = kernels.median_bandwidth(pts)
-        u = ksd.bbis_weights(pts, surrogate, target.log_density, h)
+        u = ksd.bbis_weights(ksd.gf_stein_gram(pts, surrogate, target.log_density, h))
         wins += abs(u @ pts[:, 0]) < abs(pts[:, 0].mean())
     report(10, "bbis", ok_constraints and wins >= 90,
            f"grid err {grid_err:.2e} (<=2e-3); weighted beats uniform {wins}/100 (>=90)")

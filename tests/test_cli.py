@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steinkit.cli import build_discrete_model, main
+from steinkit.cli import build_discrete_model, main, validate_config
 from steinkit.config_schema import CONFIG_SCHEMAS
 
 
@@ -40,6 +41,14 @@ class TestValidation:
         for name, schema in CONFIG_SCHEMAS.items():
             assert schema["additionalProperties"] is False, name
 
+    def test_checked_in_configs_match_their_schemas(self):
+        # configs/<subcommand>-<name>.json; the longest matching prefix names the subcommand
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            sub = max((s for s in CONFIG_SCHEMAS if path.stem == s or path.stem.startswith(s + "-")), key=len)
+            validate_config(sub, json.loads(path.read_text()))
+
     def test_print_schema(self, capsys):
         assert run_cli(["gof", "--print-schema"]) == 0
         out = capsys.readouterr().out
@@ -58,6 +67,8 @@ BAD_INPUT = {
     "gof-state-index-out-of-range": ("gof", {"model": ISING_2X2, "data": {"path": "DATA"}}, "1,0,1,0\n1,0,2,0\n"),
     "gof-surrogate-exact": ("gof", {"model": ISING_2X2, "data": {"model": ISING_2X2, "n": 20},
                                     "surrogate_mode": "exact"}, None),
+    "discrete-sample-surrogate-exact": ("discrete-sample", {"model": ISING_2X2, "n": 10, "iters": 2,
+                                                           "surrogate_mode": "exact"}, None),
     "categorical-duplicate-states": ("discrete-sample", {"model": DUPLICATE_STATES, "n": 10, "iters": 2}, None),
 }
 

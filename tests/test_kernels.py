@@ -4,77 +4,87 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinkit.errors import DegenerateEnsembleError
+from steinkit.gfsvgd import Surrogate
 from steinkit.kernels import (
     KernelSpec,
     median_bandwidth,
-    rbf_eval,
-    rbf_grad_x,
     rbf_gram,
     resolve_bandwidth,
-    weighted_kernel_eval,
 )
+from steinkit.ksd import gf_stein_gram, stein_gram
+from steinkit.svgd import stein_direction
 
 rng = np.random.default_rng(0)
+
+
+def k(x, y, h):
+    """k(x, y) for two single points, read off ``rbf_gram``."""
+    return rbf_gram(x[None, :], y[None, :], h)[0, 0]
+
+
+def grad_x(x, y, h):
+    """grad_x k(x, y): the repulsive term of ``stein_direction`` with one
+    source point x, one evaluation point y and a zero score."""
+    return stein_direction(x[None, :], np.zeros((1, x.size)), np.ones(1), 1.0, h, eval_positions=y[None, :])[0]
 
 
 class TestRbfEval:
     def test_identity_point(self):
         x = np.array([0.3, -1.2, 4.0])
         for h in (0.1, 1.0, 17.0):
-            assert rbf_eval(x, x, h) == 1.0
+            assert k(x, x, h) == 1.0
 
     def test_analytic_1d(self):
-        assert rbf_eval(np.array([0.0]), np.array([1.0]), 1.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert k(np.array([0.0]), np.array([1.0]), 1.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_analytic_2d(self):
-        v = rbf_eval(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 2.0)
+        v = k(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 2.0)
         assert v == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_symmetry_and_range(self):
-        for _ in range(20):
-            x, y = rng.normal(size=3), rng.normal(size=3)
-            v = rbf_eval(x, y, 0.7)
-            assert v == rbf_eval(y, x, 0.7)
-            assert 0.0 < v <= 1.0
+        x, y = rng.normal(size=(20, 3)), rng.normal(size=(15, 3))
+        gram = rbf_gram(x, y, 0.7)
+        assert np.array_equal(gram, rbf_gram(y, x, 0.7).T)
+        assert np.all((gram > 0.0) & (gram <= 1.0))
 
     def test_invalid_inputs(self):
-        x = np.array([0.0])
+        x = np.array([[0.0]])
         with pytest.raises(ValueError):
-            rbf_eval(x, x, 0.0)
+            rbf_gram(x, x, 0.0)
         with pytest.raises(ValueError):
-            rbf_eval(x, x, -1.0)
+            rbf_gram(x, x, -1.0)
         with pytest.raises(ValueError):
-            rbf_eval(np.array([np.nan]), x, 1.0)
+            rbf_gram(np.array([[np.nan]]), x, 1.0)
         with pytest.raises(ValueError):
-            rbf_eval(np.array([np.inf]), x, 1.0)
+            rbf_gram(np.array([[np.inf]]), x, 1.0)
 
 
 class TestRbfGrad:
     def test_zero_at_coincident_points(self):
         x = np.array([1.0, 2.0])
-        assert np.array_equal(rbf_grad_x(x, x, 3.0), np.zeros(2))
+        assert np.array_equal(grad_x(x, x, 3.0), np.zeros(2))
 
     def test_analytic_1d(self):
-        g = rbf_grad_x(np.array([1.0]), np.array([0.0]), 1.0)
+        g = grad_x(np.array([1.0]), np.array([0.0]), 1.0)
         assert g[0] == pytest.approx(-2.0 * np.exp(-1.0), rel=1e-12)
 
     def test_matches_central_differences(self):
         eps = 1e-6
         for _ in range(10):
             x, y = rng.normal(size=4), rng.normal(size=4)
-            g = rbf_grad_x(x, y, 1.3)
+            g = grad_x(x, y, 1.3)
             fd = np.empty(4)
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = eps
-                fd[j] = (rbf_eval(x + e, y, 1.3) - rbf_eval(x - e, y, 1.3)) / (2 * eps)
+                fd[j] = (k(x + e, y, 1.3) - k(x - e, y, 1.3)) / (2 * eps)
             assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_antisymmetric_in_arguments(self):
         # grad_x k(x, y) = -grad_y k(x, y), i.e. swapping arguments flips sign
         for _ in range(10):
             x, y = rng.normal(size=3), rng.normal(size=3)
-            assert np.allclose(rbf_grad_x(x, y, 0.9), -rbf_grad_x(y, x, 0.9), rtol=0, atol=1e-15)
+            assert np.allclose(grad_x(x, y, 0.9), -grad_x(y, x, 0.9), rtol=0, atol=1e-15)
 
 
 class TestMedianBandwidth:
@@ -105,22 +115,29 @@ class TestMedianBandwidth:
 
 
 class TestWeightedKernel:
-    def test_unit_weights_reduce_to_rbf(self):
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        assert weighted_kernel_eval(x, y, 1.0, 1.0, 1.0) == rbf_eval(x, y, 1.0)
+    # the importance weighting w_i K_ij w_j as gf_stein_gram applies it, with
+    # weights exp(log rho - log p) centred on the largest
+    @staticmethod
+    def _weighted(pts, log_w, h):
+        surrogate = Surrogate(log_density=lambda x: np.asarray(log_w, dtype=float),
+                              score=lambda x: -np.atleast_2d(x))
+        return gf_stein_gram(pts, surrogate, lambda x: np.zeros(np.atleast_2d(x).shape[0]), h)
+
+    def test_unit_weights_reduce_to_unweighted_gram(self):
+        pts = rng.normal(size=(5, 2))
+        assert np.array_equal(self._weighted(pts, np.zeros(5), 1.0), stein_gram(pts, -pts, 1.0))
 
     def test_zero_weight(self):
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        assert weighted_kernel_eval(x, y, 0.0, 2.0, 1.0) == 0.0
+        pts = rng.normal(size=(2, 2))
+        gram = self._weighted(pts, np.array([-np.inf, np.log(2.0)]), 1.0)
+        assert np.array_equal(gram[0], np.zeros(2)) and np.array_equal(gram[:, 0], np.zeros(2))
 
     def test_same_point_weight_product(self):
         x = rng.normal(size=2)
-        assert weighted_kernel_eval(x, x, 2.0, 3.0, 0.4) == pytest.approx(6.0, rel=1e-12)
-
-    def test_negative_weight_rejected(self):
-        x = np.zeros(2)
-        with pytest.raises(ValueError):
-            weighted_kernel_eval(x, x, -0.1, 1.0, 1.0)
+        pts = np.stack([x, x])
+        gram = self._weighted(pts, np.log([2.0, 3.0]), 0.4)
+        # weights 2 and 3 centred on 3: the cross entry carries (2/3)(3/3)
+        assert gram[0, 1] == pytest.approx((2.0 / 3.0) * stein_gram(pts, -pts, 0.4)[0, 1], rel=1e-12)
 
     def test_weighted_gram_is_psd(self):
         pts = rng.normal(size=(30, 2))
@@ -153,7 +170,9 @@ class TestKernelSpec:
 )
 def test_rbf_symmetric_and_bounded(xs, ys, h):
     d = min(len(xs), len(ys))
-    x, y = np.array(xs[:d]), np.array(ys[:d])
-    v = rbf_eval(x, y, h)
-    assert v == rbf_eval(y, x, h)
-    assert 0.0 <= v <= 1.0
+    x, y = np.array(xs[:d])[None, :], np.array(ys[:d])[None, :]
+    pts = np.vstack([x, y])
+    gram = rbf_gram(pts, pts, h)
+    assert np.array_equal(gram, gram.T)
+    assert np.all((gram >= 0.0) & (gram <= 1.0))
+    assert np.array_equal(np.diag(gram), np.ones(2))

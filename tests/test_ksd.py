@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinkit.errors import NumericalFailure
 from steinkit.gfsvgd import Surrogate
 from steinkit.ksd import (
-    SteinKernelMatrix,
-    alpha_stein_kernel,
+    alpha_stein_gram,
     bbis_error_bound,
     bbis_weights,
-    gf_stein_kernel,
+    gf_stein_gram,
     simplex_project,
     solve_simplex_qp,
     stein_gram,
     stein_gram_cross,
-    stein_kernel,
-    u_statistic,
     u_statistic_from_gram,
-    v_statistic,
     v_statistic_from_gram,
 )
 from steinkit.models import gaussian_logpdf, gaussian_target
@@ -28,22 +25,41 @@ def std_normal_score(x):
     return -np.atleast_2d(np.asarray(x, dtype=float))
 
 
+def five_term_oracle(x, y, p, p_log, rho, rho_log, h):
+    """w(x) kappa_rho(x, y) w(y) for one pair, assembled independently from
+    the product-rule expansion of the weighted kernel, using s_p and
+    s_ell = s_p - s_rho; with rho = p it is the plain Stein kernel kappa_p."""
+    ell = lambda v: np.exp(float(p_log(v)) - float(rho_log(v)))  # 1/w
+    s_ell = lambda v: p.score(v) - rho.score(v)
+    d = x.size
+    r2 = np.sum((x - y) ** 2)
+    k = np.exp(-r2 / h)
+    gx = -(2.0 / h) * (x - y) * k
+    gy = (2.0 / h) * (x - y) * k
+    tr = k * (2.0 * d / h - 4.0 * r2 / h ** 2)
+    denom = ell(x) * ell(y)
+    sp_x, sp_y = p.score(x), p.score(y)
+    sl_x, sl_y = s_ell(x), s_ell(y)
+    t1 = float(sp_x @ sp_y) * k / denom
+    t2 = float(sp_x @ (gy - k * sl_y)) / denom
+    t3 = float(sp_y @ (gx - k * sl_x)) / denom
+    t4 = (tr - float(gx @ sl_y) - float(gy @ sl_x) + float(sl_x @ sl_y) * k) / denom
+    return t1 + t2 + t3 + t4
+
+
 class TestSteinKernel:
     def test_value_at_origin(self):
-        val = stein_kernel(np.zeros(1), np.zeros(1), std_normal_score, 1.0)
-        assert val == pytest.approx(2.0, abs=1e-14)
+        x = np.zeros((1, 1))
+        assert stein_gram(x, std_normal_score(x), 1.0)[0, 0] == pytest.approx(2.0, abs=1e-14)
 
     def test_trace_term_scales_with_dimension(self):
-        val = stein_kernel(np.zeros(3), np.zeros(3), lambda x: -np.atleast_2d(x), 2.0)
-        assert val == pytest.approx(2.0 * 3 / 2.0, abs=1e-14)
+        x = np.zeros((1, 3))
+        assert stein_gram(x, std_normal_score(x), 2.0)[0, 0] == pytest.approx(2.0 * 3 / 2.0, abs=1e-14)
 
     def test_symmetry(self):
-        rng = stream_rng(41, 0)
-        for _ in range(20):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            a = stein_kernel(x, y, std_normal_score, 0.8)
-            b = stein_kernel(y, x, std_normal_score, 0.8)
-            assert a == pytest.approx(b, rel=1e-12)
+        x = stream_rng(41, 0).standard_normal((20, 2))
+        gram = stein_gram(x, std_normal_score(x), 0.8)
+        assert gram == pytest.approx(gram.T, rel=1e-12)
 
     def test_gram_psd_over_sample(self):
         rng = stream_rng(41, 1)
@@ -53,12 +69,13 @@ class TestSteinKernel:
         assert eigs.min() >= -1e-8 * np.linalg.norm(gram)
 
     def test_gram_matches_pairwise(self):
-        rng = stream_rng(41, 2)
-        x = rng.standard_normal((6, 2))
+        p = gaussian_target(np.zeros(2), 1.0)
+        p_log = gaussian_logpdf(np.zeros(2), 1.0)
+        x = stream_rng(41, 2).standard_normal((6, 2))
         gram = stein_gram(x, std_normal_score(x), 1.3)
         for i in range(6):
             for j in range(6):
-                assert gram[i, j] == pytest.approx(stein_kernel(x[i], x[j], std_normal_score, 1.3), rel=1e-12)
+                assert gram[i, j] == pytest.approx(five_term_oracle(x[i], x[j], p, p_log, p, p_log, 1.3), rel=1e-12)
 
     def test_stein_identity_monte_carlo(self):
         # E_{x~N(0,1)} kappa_p(x, y0) = 0, checked with 1e6 draws
@@ -74,77 +91,44 @@ class TestGradientFreeKernel:
         p_log = gaussian_logpdf(np.zeros(2), 1.0)
         t = gaussian_target(np.zeros(2), 1.0)
         surrogate = Surrogate(log_density=p_log, score=t.score)
-        rng = stream_rng(42, 0)
-        for _ in range(100):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            gf = gf_stein_kernel(x, y, surrogate, p_log, 1.0)
-            direct = stein_kernel(x, y, t.score, 1.0)
-            assert abs(gf - direct) <= 1e-10 * max(1.0, abs(direct))
+        x = stream_rng(42, 0).standard_normal((100, 2))
+        gf = gf_stein_gram(x, surrogate, p_log, 1.0)
+        direct = stein_gram(x, t.score(x), 1.0)
+        assert np.all(np.abs(gf - direct) <= 1e-10 * np.maximum(1.0, np.abs(direct)))
 
     def test_zero_weight_boundary(self):
+        # the surrogate density vanishes at the second point only
+        p_log = gaussian_logpdf(np.zeros(1), 1.0)
         surrogate = Surrogate(
-            log_density=lambda x: np.full(np.atleast_2d(x).shape[0], -np.inf),
+            log_density=lambda x: np.where(np.atleast_2d(x)[:, 0] > 0.5, -np.inf, p_log(x)),
             score=lambda x: np.zeros_like(np.atleast_2d(x)),
         )
-        val = gf_stein_kernel(np.zeros(1), np.ones(1), surrogate, gaussian_logpdf(np.zeros(1), 1.0), 1.0)
-        assert val == 0.0
+        gram = gf_stein_gram(np.array([[0.0], [1.0]]), surrogate, p_log, 1.0)
+        assert gram[0, 1] == 0.0 and gram[1, 1] == 0.0
 
     def test_expanded_five_term_oracle(self):
-        # independent assembly from the product-rule expansion of the weighted
-        # kernel, using s_p and s_ell = s_p - s_rho
         p = gaussian_target(np.zeros(2), 1.0)
         rho = gaussian_target(np.zeros(2), 2.0)
         p_log = gaussian_logpdf(np.zeros(2), 1.0)
         rho_log = gaussian_logpdf(np.zeros(2), 2.0)
         surrogate = Surrogate(log_density=rho_log, score=rho.score)
         h = 1.4
-
-        def expanded(x, y):
-            ell = lambda v: np.exp(float(p_log(v)) - float(rho_log(v)))  # 1/w
-            s_ell = lambda v: p.score(v) - rho.score(v)
-            d = x.size
-            r2 = np.sum((x - y) ** 2)
-            k = np.exp(-r2 / h)
-            gx = -(2.0 / h) * (x - y) * k
-            gy = (2.0 / h) * (x - y) * k
-            tr = k * (2.0 * d / h - 4.0 * r2 / h ** 2)
-            denom = ell(x) * ell(y)
-            sp_x, sp_y = p.score(x), p.score(y)
-            sl_x, sl_y = s_ell(x), s_ell(y)
-            t1 = float(sp_x @ sp_y) * k / denom
-            t2 = float(sp_x @ (gy - k * sl_y)) / denom
-            t3 = float(sp_y @ (gx - k * sl_x)) / denom
-            t4 = (tr - float(gx @ sl_y) - float(gy @ sl_x) + float(sl_x @ sl_y) * k) / denom
-            return t1 + t2 + t3 + t4
-
-        rng = stream_rng(42, 1)
-        for _ in range(30):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            ours = gf_stein_kernel(x, y, surrogate, p_log, h)
-            oracle = expanded(x, y)
-            assert abs(ours - oracle) <= 1e-10 * max(1.0, abs(oracle))
-
-    def test_matrix_flavor_symmetrized(self):
-        rng = stream_rng(42, 2)
-        x = rng.standard_normal((10, 1))
-        gram = stein_gram(x, std_normal_score(x), 1.0)
-        mat = SteinKernelMatrix(values=gram, flavor="score")
-        assert np.array_equal(mat.values, mat.values.T)
-        assert mat.n == 10
+        x = stream_rng(42, 1).standard_normal((30, 2))
+        # gf_stein_gram centres the log-weights: undo its exp(2 max log w) factor
+        scale = np.exp(2.0 * np.max(rho_log(x) - p_log(x)))
+        ours = scale * gf_stein_gram(x, surrogate, p_log, h)
+        for i in range(30):
+            for j in range(30):
+                oracle = five_term_oracle(x[i], x[j], p, p_log, rho, rho_log, h)
+                assert abs(ours[i, j] - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
 class TestStatistics:
     def test_two_point_expansion(self):
-        pts = np.array([[0.0], [1.0]])
-
-        def kernel_fn(x, y):
-            if np.array_equal(x, y):
-                return 3.0 if x[0] == 0.0 else 5.0
-            return 2.0
-
+        gram = np.array([[3.0, 2.0], [2.0, 5.0]])
         # V = (a + b + 2c)/4, U = c
-        assert v_statistic(pts, kernel_fn) == pytest.approx((3.0 + 5.0 + 4.0) / 4.0)
-        assert u_statistic(pts, kernel_fn) == pytest.approx(2.0)
+        assert v_statistic_from_gram(gram) == pytest.approx((3.0 + 5.0 + 4.0) / 4.0)
+        assert u_statistic_from_gram(gram) == pytest.approx(2.0)
 
     def test_v_nonnegative_for_psd_kernel(self):
         rng = stream_rng(43, 0)
@@ -177,7 +161,7 @@ class TestStatistics:
 
     def test_size_requirements(self):
         with pytest.raises(ValueError):
-            u_statistic(np.zeros((1, 1)), lambda x, y: 1.0)
+            u_statistic_from_gram(np.ones((1, 1)))
 
 
 class TestSimplexProjection:
@@ -233,7 +217,7 @@ class TestBBIS:
         t = gaussian_target(np.zeros(1), 1.0)
         surrogate = Surrogate(log_density=t.log_density, score=t.score)
         pts = stream_rng(45, 1).normal(1.0, 1.0, size=(40, 1))
-        u = bbis_weights(pts, surrogate, t.log_density, 1.0)
+        u = bbis_weights(gf_stein_gram(pts, surrogate, t.log_density, 1.0))
         assert abs(u.sum() - 1.0) <= 1e-8
         assert u.min() >= -1e-12
         # reweighted mean should move toward the target mean of 0
@@ -241,70 +225,71 @@ class TestBBIS:
 
 
 class TestBBISBound:
-    def _kernel_fn(self, t, surrogate):
-        return lambda x, y: gf_stein_kernel(x, y, surrogate, t.log_density, 1.0)
+    # the surrogate is the target, so the log-weights are 0 and the Gram's
+    # centring changes nothing: bounds compare across point sets
+    @staticmethod
+    def _gram(pts):
+        t = gaussian_target(np.zeros(1), 1.0)
+        return gf_stein_gram(pts, Surrogate(log_density=t.log_density, score=t.score), t.log_density, 1.0)
 
     def test_uniform_weights_equal_v_statistic(self):
-        t = gaussian_target(np.zeros(1), 1.0)
-        surrogate = Surrogate(log_density=t.log_density, score=t.score)
-        pts = stream_rng(46, 0).standard_normal((15, 1))
-        fn = self._kernel_fn(t, surrogate)
-        bound = bbis_error_bound(np.full(15, 1.0 / 15.0), pts, fn)
-        assert bound == pytest.approx(np.sqrt(max(v_statistic(pts, fn), 0.0)), rel=1e-10)
+        gram = self._gram(stream_rng(46, 0).standard_normal((15, 1)))
+        bound = bbis_error_bound(np.full(15, 1.0 / 15.0), gram)
+        assert bound == pytest.approx(np.sqrt(max(v_statistic_from_gram(gram), 0.0)), rel=1e-10)
 
     def test_optimized_weights_no_worse_than_uniform(self):
-        t = gaussian_target(np.zeros(1), 1.0)
-        surrogate = Surrogate(log_density=t.log_density, score=t.score)
-        pts = stream_rng(46, 1).normal(0.7, 1.0, size=(25, 1))
-        u = bbis_weights(pts, surrogate, t.log_density, 1.0)
-        fn = self._kernel_fn(t, surrogate)
-        assert bbis_error_bound(u, pts, fn) <= bbis_error_bound(np.full(25, 1.0 / 25.0), pts, fn) + 1e-10
+        gram = self._gram(stream_rng(46, 1).normal(0.7, 1.0, size=(25, 1)))
+        u = bbis_weights(gram)
+        assert bbis_error_bound(u, gram) <= bbis_error_bound(np.full(25, 1.0 / 25.0), gram) + 1e-10
 
     def test_bound_smaller_for_better_samples(self):
-        t = gaussian_target(np.zeros(1), 1.0)
-        surrogate = Surrogate(log_density=t.log_density, score=t.score)
-        fn = self._kernel_fn(t, surrogate)
         rng = stream_rng(46, 2)
         close = rng.normal(0.0, 1.0, size=(30, 1))
         far = rng.normal(2.5, 1.0, size=(30, 1))
         w = np.full(30, 1.0 / 30.0)
-        assert bbis_error_bound(w, close, fn) < bbis_error_bound(w, far, fn)
+        assert bbis_error_bound(w, self._gram(close)) < bbis_error_bound(w, self._gram(far))
 
     def test_rejects_off_simplex_weights(self):
-        t = gaussian_target(np.zeros(1), 1.0)
-        surrogate = Surrogate(log_density=t.log_density, score=t.score)
-        pts = np.zeros((3, 1))
         with pytest.raises(ValueError):
-            bbis_error_bound(np.array([0.5, 0.5, 0.5]), pts, self._kernel_fn(t, surrogate))
+            bbis_error_bound(np.array([0.5, 0.5, 0.5]), self._gram(np.zeros((3, 1))))
+
+    def test_negative_quadratic_form_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailure):
+            bbis_error_bound(np.array([0.5, 0.5]), -np.eye(2))
 
 
 class TestAlphaKernel:
     def test_alpha_zero_reduces_exactly(self):
         t = gaussian_target(np.zeros(2), 1.0)
-        rng = stream_rng(47, 0)
-        for _ in range(20):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            a = alpha_stein_kernel(x, y, t.log_density, t.score, 0.0, 1.0)
-            b = stein_kernel(x, y, t.score, 1.0)
-            assert a == b
+        x = stream_rng(47, 0).standard_normal((20, 2))
+        assert np.array_equal(alpha_stein_gram(x, t.log_density, t.score, 0.0, 1.0), stein_gram(x, t.score(x), 1.0))
 
     def test_symmetry(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        rng = stream_rng(47, 1)
-        for _ in range(20):
-            x, y = rng.standard_normal(1), rng.standard_normal(1)
-            assert alpha_stein_kernel(x, y, t.log_density, t.score, 0.5, 1.0) == pytest.approx(
-                alpha_stein_kernel(y, x, t.log_density, t.score, 0.5, 1.0), rel=1e-12
-            )
+        x = stream_rng(47, 1).standard_normal((20, 1))
+        gram = alpha_stein_gram(x, t.log_density, t.score, 0.5, 1.0)
+        assert gram == pytest.approx(gram.T, rel=1e-12)
 
     def test_finite_values(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        rng = stream_rng(47, 2)
-        vals = [
-            alpha_stein_kernel(rng.standard_normal(1), rng.standard_normal(1), t.log_density, t.score, 0.5, 1.0)
-            for _ in range(50)
-        ]
-        assert np.all(np.isfinite(vals))
+        x = stream_rng(47, 2).standard_normal((50, 1))
+        assert np.all(np.isfinite(alpha_stein_gram(x, t.log_density, t.score, 0.5, 1.0)))
+
+    def test_entry_matches_written_out_formula(self):
+        # p(x)^a p(y)^a [(a+1)^2 s_x's_y k + (a+1) s_x'grad_y k + (a+1) s_y'grad_x k + tr]
+        t = gaussian_target(np.array([0.5, -1.0]), 1.5)
+        pts = stream_rng(47, 3).standard_normal((2, 2))
+        a, h = 0.5, 1.2
+        x, y = pts
+        sx, sy = t.score(x), t.score(y)
+        r2 = np.sum((x - y) ** 2)
+        k = np.exp(-r2 / h)
+        grad_y, grad_x = (2.0 / h) * (x - y) * k, -(2.0 / h) * (x - y) * k
+        tr = k * (2.0 * 2 / h - 4.0 * r2 / h ** 2)
+        expected = np.exp(a * (float(t.log_density(x)) + float(t.log_density(y)))) * (
+            (a + 1) ** 2 * float(sx @ sy) * k + (a + 1) * float(sx @ grad_y) + (a + 1) * float(sy @ grad_x) + tr
+        )
+        assert alpha_stein_gram(pts, t.log_density, t.score, a, h)[0, 1] == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
