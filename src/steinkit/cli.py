@@ -63,12 +63,15 @@ def _write_samples(path: Path, rows: np.ndarray, integer: bool = False) -> None:
 
 
 def _read_csv(path: str, dtype=float) -> np.ndarray:
-    """A comma-separated data file as a 2-d array; a file that is missing or
-    does not parse is a config error."""
+    """A comma-separated data file as a 2-d array; a file that is missing,
+    does not parse or holds a non-finite entry is a config error."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
+        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"data file {path}: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"data file {path}: every entry must be finite")
+    return data
 
 
 def validate_config(subcommand: str, config: dict) -> None:

@@ -9,6 +9,7 @@ parameterization; the median heuristic below is stated for this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -16,6 +17,8 @@ import numpy as np
 from .errors import DegenerateEnsembleError
 
 MEDIAN_HEURISTIC = "median-heuristic"
+# doubles in one block of the (rows, m, d) difference temporary of pairwise_sq_dists (1 MB)
+DIFF_BUDGET = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,26 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Computed by explicit broadcasting (not a Gram trick), so each entry is a
     self-contained reduction over the coordinate axis: results do not change
-    when either point set is evaluated in chunks.
+    when either point set is evaluated in chunks.  Rows of ``x`` are taken in
+    blocks whose difference temporary holds at most ``DIFF_BUDGET`` doubles
+    (one row at least).  When ``y is x`` each block is computed against
+    columns from its first row on and mirrored into the lower triangle; since
+    (a - b)^2 == (b - a)^2 exactly, the mirrored entries are the same bits.
     """
+    square = y is x
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    y = x if square else np.atleast_2d(np.asarray(y, dtype=float))
+    n, m = x.shape[0], y.shape[0]
+    out = np.empty((n, m))
+    rows = max(1, DIFF_BUDGET // max(1, m * x.shape[1]))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        j0 = i0 if square else 0
+        diff = x[i0:i1, None, :] - y[None, j0:, :]
+        out[i0:i1, j0:] = np.einsum("ijk,ijk->ij", diff, diff)
+        if square:
+            out[i1:, i0:i1] = out[i0:i1, i1:].T
+    return out
 
 
 def rbf_gram(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
@@ -62,13 +79,23 @@ def rbf_gram(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
     return np.exp(-pairwise_sq_dists(x, y) / h)
 
 
+@lru_cache(maxsize=4)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of an (n, n) array (read-only)."""
+    idx = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
+    idx.flags.writeable = False
+    return idx
+
+
 def median_bandwidth(points: np.ndarray, sq: Optional[np.ndarray] = None) -> float:
     """Median-heuristic bandwidth ``med^2 / (2 log(n + 1))``.
 
     ``med`` is the exact median of all n(n-1)/2 pairwise Euclidean distances
-    (no subsampling).  ``sq`` is ``pairwise_sq_dists(points, points)`` when
-    the caller already has it.  Raises if the point set is degenerate
-    (med = 0).
+    (no subsampling), found by one partition of the squared distances; sqrt
+    is monotone, so it equals ``np.median`` of the distances bit for bit.
+    ``sq`` is ``pairwise_sq_dists(points, points)`` when the caller already
+    has it.  Raises ValueError on a non-finite distance, and
+    DegenerateEnsembleError if the point set is degenerate (med = 0).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
@@ -76,8 +103,15 @@ def median_bandwidth(points: np.ndarray, sq: Optional[np.ndarray] = None) -> flo
         raise ValueError("median bandwidth needs at least two points")
     if sq is None:
         sq = pairwise_sq_dists(pts, pts)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
+    v = np.take(sq, _upper_pairs(n))
+    if not np.all(np.isfinite(v)):
+        raise ValueError("median bandwidth needs finite pairwise distances")
+    k = v.size // 2
+    part = np.partition(v, k)
+    if v.size % 2:
+        med = float(np.sqrt(part[k]))
+    else:
+        med = float(np.mean(np.sqrt([part[:k].max(), part[k]])))
     if med <= 0.0:
         raise DegenerateEnsembleError("all points identical: median pairwise distance is zero")
     return med ** 2 / (2.0 * np.log(n + 1.0))

@@ -94,7 +94,10 @@ def stein_direction(
     y = x if eval_positions is None else eval_positions
     if sq is None:
         sq = pairwise_sq_dists(x, y)
-    wk = weights[:, None] * np.exp(-sq / h)
+    # one (n, m) temporary, built in place: same bits as weights[:, None] * np.exp(-sq / h)
+    wk = np.divide(sq, -h)
+    np.exp(wk, out=wk)
+    wk *= weights[:, None]
     drive = np.einsum("ji,jd->id", wk, src_scores)
     colsum = np.einsum("ji->i", wk)
     cross = np.einsum("ji,jd->id", wk, x)

@@ -63,6 +63,9 @@ BAD_INPUT = {
     "svgd-one-particle-median": ("svgd", {"model": GAUSS_1D, "n": 1, "iters": 2}, None),
     "bbis-points-unparsable": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}}, "0.5\nnot-a-number\n"),
     "bbis-points-missing": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}}, None),
+    "bbis-points-nan": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}}, "0.5\nnan\n1.2\n-0.3\n"),
+    "bbis-points-inf": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}, "kernel_h": 1.0},
+                        "0.5\ninf\n1.2\n-0.3\n"),
     "gof-data-unparsable": ("gof", {"model": ISING_2X2, "data": {"path": "DATA"}}, "1,0,1,0\n1,0,x,0\n"),
     "gof-state-index-out-of-range": ("gof", {"model": ISING_2X2, "data": {"path": "DATA"}}, "1,0,1,0\n1,0,2,0\n"),
     "gof-surrogate-exact": ("gof", {"model": ISING_2X2, "data": {"model": ISING_2X2, "n": 20},

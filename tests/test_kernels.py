@@ -8,6 +8,7 @@ from steinkit.gfsvgd import Surrogate
 from steinkit.kernels import (
     KernelSpec,
     median_bandwidth,
+    pairwise_sq_dists,
     rbf_gram,
     resolve_bandwidth,
 )
@@ -87,7 +88,65 @@ class TestRbfGrad:
             assert np.allclose(grad_x(x, y, 0.9), -grad_x(y, x, 0.9), rtol=0, atol=1e-15)
 
 
+def broadcast_sq_dists(x, y):
+    """One-shot (n, m, d) broadcast: the reference for the blocked distances."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestPairwiseSqDists:
+    # (29|30|31, d=4500) put one row per block on either side of the block
+    # budget; the others cover one block, several blocks, and block remainders
+    SHAPES = [(1, 1, 1), (2, 2, 3), (29, 29, 4500), (30, 30, 4500), (31, 31, 4500), (500, 500, 9),
+              (501, 501, 9), (257, 129, 33), (1000, 3, 2), (3, 1000, 2), (1000, 1000, 1)]
+
+    @pytest.mark.parametrize("n, m, d", SHAPES)
+    def test_bit_identical_to_one_shot_broadcast(self, n, m, d):
+        gen = np.random.default_rng(n * 7919 + m * 31 + d)
+        x, y = 3.0 * gen.standard_normal((n, d)), gen.standard_normal((m, d)) - 0.5
+        cross = pairwise_sq_dists(x, y)
+        assert np.array_equal(cross, broadcast_sq_dists(x, y))
+        assert np.array_equal(pairwise_sq_dists(y, x), cross.T)
+        if n == m:
+            square = pairwise_sq_dists(x, x)
+            assert np.array_equal(square, broadcast_sq_dists(x, x))
+            assert np.array_equal(square, square.T) and not np.any(np.diag(square))
+            y, cross = x, square
+        # rows of x and rows of y evaluated in halves and one at a time
+        hx, hy = n // 2, m // 2
+        assert np.array_equal(np.vstack([pairwise_sq_dists(x[:hx], y), pairwise_sq_dists(x[hx:], y)]), cross)
+        assert np.array_equal(np.hstack([pairwise_sq_dists(x, y[:hy]), pairwise_sq_dists(x, y[hy:])]), cross)
+        assert np.array_equal(np.vstack([pairwise_sq_dists(x[i:i + 1], y) for i in range(n)]), cross)
+        assert np.array_equal(np.hstack([pairwise_sq_dists(x, y[j:j + 1]) for j in range(m)]), cross)
+
+
 class TestMedianBandwidth:
+    @staticmethod
+    def old_formula(pts):
+        n = pts.shape[0]
+        sq = broadcast_sq_dists(pts, pts)
+        return np.median(np.sqrt(sq[np.triu_indices(n, 1)])) ** 2 / (2.0 * np.log(n + 1.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 500, 501, 502])
+    def test_bit_identical_to_full_median(self, n):
+        # n(n-1)/2 pairs is odd for n in {2, 3, 502} and even for {4, 5, 500, 501};
+        # the points of a 3-column integer lattice tie on many distances
+        lattice = np.stack([np.arange(n) % 3, np.arange(n) // 3], axis=1).astype(float)
+        for pts in (np.random.default_rng(n).standard_normal((n, 3)), lattice):
+            assert median_bandwidth(pts) == self.old_formula(pts)
+            assert median_bandwidth(pts, pairwise_sq_dists(pts, pts)) == self.old_formula(pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = rng.normal(size=(6, 2))
+        pts[3, 1] = bad
+        with np.errstate(invalid="ignore"):
+            sq = pairwise_sq_dists(pts, pts)
+            with pytest.raises(ValueError, match="finite"):
+                median_bandwidth(pts)
+        with pytest.raises(ValueError, match="finite"):
+            median_bandwidth(pts, sq)
+
     def test_two_points(self):
         pts = np.array([[0.0], [2.0]])
         assert median_bandwidth(pts) == pytest.approx(4.0 / (2.0 * np.log(3.0)), rel=1e-12)

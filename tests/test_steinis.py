@@ -181,6 +181,24 @@ class TestRunSteinIS:
                               np.concatenate([first.ensemble.follower_log_q, second.ensemble.follower_log_q]))
         assert np.array_equal(whole.ensemble.leaders, first.ensemble.leaders)
 
+    def test_field_rows_chunk_invariant_across_distance_blocks(self):
+        # 300 leaders x 600 points in d=2 split the leader-point distances into
+        # three row blocks; halves take two and pairs of points one.  Pairs, not
+        # single points: on a one-point set einsum switches to a contiguous
+        # reduction loop that sums the leaders in another order.
+        rng = stream_rng(53, 3)
+        leaders = rng.standard_normal((300, 2)) * 1.4
+        y = rng.standard_normal((600, 2)) * 1.4
+        field = leader_velocity_field(leaders, gaussian_target(np.zeros(2), 1.0), KernelSpec())
+        phi, jac = field(y, with_jacobian=True)
+        assert np.array_equal(field(y), phi)
+        for size in (300, 2):
+            parts = [y[i:i + size] for i in range(0, 600, size)]
+            assert np.array_equal(np.vstack([field(p) for p in parts]), phi)
+            pieces = [field(p, with_jacobian=True) for p in parts]
+            assert np.array_equal(np.vstack([p[0] for p in pieces]), phi)
+            assert np.array_equal(np.concatenate([p[1] for p in pieces]), jac)
+
     def test_density_tracking_integrates_to_one(self):
         # followers seeded on a dense grid: exp(log q) after K steps still
         # integrates to 1 by trapezoid quadrature over the moved grid
