@@ -1,0 +1,101 @@
+"""Before/after benchmark of two checkouts, written as one BENCH_*.json.
+
+    python3 scripts/bench_pairs.py --base ../steinkit-parent --change . \\
+        --seeds 201-210 --out BENCH_0.json
+
+For each clibench workload and seed, runs ``clibench/run.py --trace 0`` once
+in each checkout for the ``run_seconds`` of ``BENCHMARK.json``, alternating
+which side goes first, so that slow stretches of the host fall on both sides
+alike.  Records every run's metrics, then per metric the median and
+interquartile range of each side and the number of pairs that the change won.
+Then times acceptance criteria 4 and 5 in each checkout (``pytest
+--durations=0``, with single-threaded BLAS as in clibench).  The machine
+(cores, Python, numpy/scipy/BLAS versions) goes into the file as well.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "clibench"))
+from run import THREAD_ENV, WORKLOADS  # noqa: E402
+
+CRITERIA = ("tests/test_acceptance.py::test_criterion_4_steinis_normalization_constant",
+            "tests/test_acceptance.py::test_criterion_5_steinis_mse_rate")
+
+
+def clibench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    out = subprocess.run([sys.executable, "clibench/run.py", "--workload", workload, "--seed", str(seed),
+                          "--seconds", str(seconds), "--trace", "0"],
+                         cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def criteria_durations(tree: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), **THREAD_ENV}
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0", *CRITERIA],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    times = {m[2]: float(m[1]) for m in re.finditer(r"([\d.]+)s call\s+\S+::(\S+)", out.stdout)}
+    return {"returncode": out.returncode, "call_s": times}
+
+
+def summarize(base: list, change: list) -> dict:
+    b, c = np.array(base), np.array(change)
+
+    def iqr(a):
+        q1, q3 = np.percentile(a, [25, 75])
+        return float(q3 - q1)
+
+    return {"base_median": float(np.median(b)), "base_iqr": iqr(b),
+            "change_median": float(np.median(c)), "change_iqr": iqr(c),
+            "change_lower_in": int(np.sum(c < b)), "pairs": len(b)}
+
+
+def machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "machine": platform.machine(), "blas_threads": 1}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--seeds", required=True, help="first-last, inclusive")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    first, last = (int(s) for s in args.seeds.split("-"))
+    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    result = {"machine": machine(), "seconds": seconds, "workloads": {}}
+    for workload in WORKLOADS:
+        runs = {"base": [], "change": []}
+        for i, seed in enumerate(range(first, last + 1)):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                run = clibench(getattr(args, side), workload, seed, seconds)
+                runs[side].append({"seed": seed, **run})
+                print(workload, seed, side, json.dumps(run), file=sys.stderr)
+        metrics = sorted(runs["base"][0]["metrics"])
+        result["workloads"][workload] = {
+            "summary": {m: summarize([r["metrics"][m]["value"] for r in runs["base"]],
+                                     [r["metrics"][m]["value"] for r in runs["change"]]) for m in metrics},
+            "runs": runs,
+        }
+        args.out.write_text(json.dumps(result, indent=1) + "\n")
+    result["criteria_4_5"] = {side: criteria_durations(getattr(args, side)) for side in ("base", "change")}
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

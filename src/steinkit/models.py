@@ -157,18 +157,24 @@ def gmm_target(weights: np.ndarray, means: Sequence[np.ndarray], sigma: float) -
         raise ValueError("sigma must be > 0")
     logw = np.log(np.maximum(weights, 1e-300))
 
-    def component_logits(x):
-        # (n, m): log w_i - ||x - mu_i||^2 / (2 sigma), shared constants dropped
+    def softmax_parts(x):
+        # logits log w_i - ||x - mu_i||^2 / (2 sigma) (shared constants dropped),
+        # shifted by their row maximum: returns (row max, exp of the shifted
+        # logits, their row sum); a plain numpy logsumexp, without scipy's
+        # array-API dispatch on every call
         d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        return logw[None, :] - d2 / (2.0 * sigma)
+        logits = logw[None, :] - d2 / (2.0 * sigma)
+        top = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - top)
+        return top, e, e.sum(axis=1, keepdims=True)
 
     def logp(x):
-        return logsumexp(component_logits(x), axis=1)
+        top, _, total = softmax_parts(x)
+        return (top + np.log(total))[:, 0]
 
     def score(x):
-        logits = component_logits(x)
-        r = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        return np.einsum("nm,nmd->nd", r, means[None, :, :] - x[:, None, :]) / sigma
+        _, e, total = softmax_parts(x)
+        return np.einsum("nm,nmd->nd", e / total, means[None, :, :] - x[:, None, :]) / sigma
 
     return ContinuousTarget(dim=means.shape[1], log_density=_rowwise(logp), score=_rowwise(score))
 

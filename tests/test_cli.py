@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -40,6 +41,11 @@ class TestValidation:
     def test_schemas_reject_unknown_keys_everywhere(self):
         for name, schema in CONFIG_SCHEMAS.items():
             assert schema["additionalProperties"] is False, name
+
+    def test_schemas_are_valid_for_their_meta_schema(self):
+        # validate_config does not run check_schema; this is where it runs
+        for schema in CONFIG_SCHEMAS.values():
+            jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_checked_in_configs_match_their_schemas(self):
         # configs/<subcommand>-<name>.json; the longest matching prefix names the subcommand

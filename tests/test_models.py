@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from steinkit.errors import StateSpaceTooLargeError
 from steinkit.models import (
@@ -76,6 +77,31 @@ class TestGMM:
         w = rng.uniform(0.5, 1.5, size=5)
         w /= w.sum()
         fd_check(gmm_target(w, means, 0.8), rng)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_softmax_matches_scipy_logsumexp(self, shift):
+        # shift 1e3 puts every point that far from every mean: the logits are
+        # about -7e5, where an unshifted exp underflows to log(0).  The oracle
+        # responsibilities come from the shifted logits z, because
+        # exp(logits - logsumexp(logits)) carries the rounding of a log-sum
+        # near -7e5 (about 1e-10) into every responsibility.
+        rng = stream_rng(3, 1)
+        means = rng.uniform(-1, 1, size=(10, 2))
+        w = rng.uniform(0.5, 1.5, size=10)
+        w /= w.sum()
+        sigma = 0.7
+        x = rng.standard_normal((50, 2)) * 2.0
+        x[:, 0] += shift
+        logits = np.log(w) - ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2) / (2.0 * sigma)
+        lse = logsumexp(logits, axis=1, keepdims=True)
+        z = logits - logits.max(axis=1, keepdims=True)
+        r = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+        score = np.einsum("nm,nmd->nd", r, means[None, :, :] - x[:, None, :]) / sigma
+        m = gmm_target(w, means, sigma)
+        logp, s = m.log_density(x), m.score(x)
+        assert np.all(np.isfinite(logp)) and np.all(np.isfinite(s))
+        assert np.all(np.abs(logp - lse[:, 0]) <= 1e-14 * np.maximum(1.0, np.abs(lse[:, 0])))
+        assert np.all(np.abs(s - score) <= 1e-14 * np.maximum(1.0, np.abs(score)))
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from steinkit import kernels
 from steinkit.errors import DivergenceError, InvalidApproximationError, SingularTransformError
 from steinkit.kernels import KernelSpec
-from steinkit.models import ContinuousTarget, gaussian_logpdf, gaussian_sampler, gaussian_target
+from steinkit.models import ContinuousTarget, gaussian_logpdf, gaussian_sampler, gaussian_target, gmm_target
 from steinkit.rngs import stream_rng
 from steinkit.steinis import (
     WeightedSample,
@@ -32,6 +33,17 @@ def det_cofactor(m: np.ndarray) -> float:
     return total
 
 
+def jacobian_oracle(leaders, scores, h, y):
+    """grad phi from the three-operand contractions over the (l, m, d)
+    difference tensor u = x_l - y, term by term as differentiated."""
+    u = leaders[:, None, :] - y[None, :, :]
+    k = np.exp(-np.einsum("lmd,lmd->lm", u, u) / h)
+    jac = (2.0 / h) * np.einsum("lm,ld,lme->mde", k, scores, u)
+    jac -= (4.0 / h ** 2) * np.einsum("lm,lmd,lme->mde", k, u, u)
+    jac += (2.0 / h) * np.einsum("lm->m", k)[:, None, None] * np.eye(y.shape[1])[None, :, :]
+    return jac / leaders.shape[0]
+
+
 class TestVelocityField:
     def test_single_leader_at_mode_is_stationary(self):
         t = gaussian_target(np.zeros(1), 1.0)
@@ -53,6 +65,51 @@ class TestVelocityField:
                 step[e_idx] = eps
                 fd[:, e_idx] = (field((y + step)[None, :])[0] - field((y - step)[None, :])[0]) / (2 * eps)
             assert np.linalg.norm(jac[0] - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])
+    def test_jacobian_matches_oracle(self, d, offset):
+        # leaders, points and the target mean all shifted by ``offset``; the
+        # points spread wider than the leaders, so some sit in the tails
+        rng = stream_rng(51, 2)
+        leaders = rng.standard_normal((40, d)) * 1.3 + offset
+        y = rng.standard_normal((30, d)) * 1.8 + offset
+        t = gaussian_target(np.full(d, offset), 1.2)
+        for kernel in (KernelSpec(), KernelSpec(bandwidth=0.3)):
+            _, jac = leader_velocity_field(leaders, t, kernel)(y, with_jacobian=True)
+            oracle = jacobian_oracle(leaders, t.score(leaders), kernels.resolve_bandwidth(kernel, leaders), y)
+            assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("separation", [1e2, 1e3])
+    def test_jacobian_error_on_separated_modes(self, d, separation):
+        # Two leader clusters, weights 0.3 / 0.7, ``separation`` apart, with
+        # points at both.  The expansion is centred on the one leader mean,
+        # so a point with q = |y - mean|^2 / h loses a few eps * q relative
+        # to cancellation, and the 1e-12 bound of the test above holds only
+        # while q is small.  Measured here: up to 1.6e-9 relative at
+        # separation 1e3 with h = 0.3 in d = 1, where q is 1.4e6.
+        rng = stream_rng(51, 4)
+        means = np.zeros((2, d))
+        means[1, 0] = separation
+        t = gmm_target(np.array([0.3, 0.7]), means, 1.0)
+        leaders = rng.standard_normal((40, d)) + means[(rng.random(40) < 0.7).astype(int)]
+        y = rng.standard_normal((30, d)) * 1.5 + means[(rng.random(30) < 0.5).astype(int)]
+        for kernel in (KernelSpec(), KernelSpec(bandwidth=0.3)):
+            h = kernels.resolve_bandwidth(kernel, leaders)
+            _, jac = leader_velocity_field(leaders, t, kernel)(y, with_jacobian=True)
+            oracle = jacobian_oracle(leaders, t.score(leaders), h, y)
+            q = np.max(np.sum((y - leaders.mean(axis=0)) ** 2, axis=1)) / h
+            assert np.max(np.abs(jac - oracle)) <= (1e-12 + 1e-14 * q) * np.max(np.abs(oracle))
+
+    def test_field_is_the_same_with_or_without_jacobian(self):
+        rng = stream_rng(51, 3)
+        leaders = rng.standard_normal((30, 3))
+        field = leader_velocity_field(leaders, gaussian_target(np.zeros(3), 1.0), KernelSpec())
+        for y in (rng.standard_normal((20, 3)), leaders, leaders.copy()):
+            assert np.array_equal(field(y), field(y, with_jacobian=True)[0])
+        # the leaders' own distances, built for the bandwidth, give the same bits
+        assert np.array_equal(field(leaders), field(leaders.copy()))
 
     def test_leader_permutation_invariance(self):
         rng = stream_rng(51, 1)
@@ -198,6 +255,29 @@ class TestRunSteinIS:
             pieces = [field(p, with_jacobian=True) for p in parts]
             assert np.array_equal(np.vstack([p[0] for p in pieces]), phi)
             assert np.array_equal(np.concatenate([p[1] for p in pieces]), jac)
+
+    def test_one_leader_and_one_follower_distance_matrix_per_iteration(self, monkeypatch):
+        calls, medians = [], []
+        pairwise, median = kernels.pairwise_sq_dists, kernels.median_bandwidth
+
+        def counted(x, y):
+            out = pairwise(x, y)
+            calls.append((x.shape[0], y.shape[0], y is x, out))
+            return out
+
+        def recorded(points, sq=None):
+            medians.append(sq)
+            return median(points, sq)
+
+        monkeypatch.setattr(kernels, "pairwise_sq_dists", counted)
+        monkeypatch.setattr(kernels, "median_bandwidth", recorded)
+        t = gaussian_target(np.zeros(2), 1.0)
+        iters = 4
+        run_steinis(t, gaussian_sampler(np.zeros(2), 2.0), gaussian_logpdf(np.zeros(2), 2.0), 7, 11, iters,
+                    KernelSpec(), StepSchedule(mode="constant", eps=0.05), stream_rng(53, 4))
+        assert [c[:3] for c in calls] == [(7, 7, True), (7, 11, False)] * iters
+        assert len(medians) == iters
+        assert all(sq is c[3] for sq, c in zip(medians, calls[::2]))
 
     def test_density_tracking_integrates_to_one(self):
         # followers seeded on a dense grid: exp(log q) after K steps still
