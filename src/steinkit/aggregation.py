@@ -224,39 +224,34 @@ def local_mle(
 # Parameter vectorization (Gaussian) for the control-variates correction
 # ---------------------------------------------------------------------------
 
-def _vech_indices(p: int):
-    return np.tril_indices(p)
-
-
 def pack_gaussian(model: GaussianModel) -> np.ndarray:
-    i, j = _vech_indices(model.dim)
+    i, j = np.tril_indices(model.dim)
     return np.concatenate([model.mean, model.cov[i, j]])
 
 
 def unpack_gaussian(theta: np.ndarray, p: int) -> GaussianModel:
     mean = theta[:p]
     cov = np.zeros((p, p))
-    i, j = _vech_indices(p)
+    i, j = np.tril_indices(p)
     cov[i, j] = theta[p:]
     cov[j, i] = theta[p:]
     return GaussianModel(mean=mean, cov=cov)
 
 
-def _gaussian_param_scores(model: GaussianModel, x: np.ndarray) -> np.ndarray:
+def _gaussian_param_scores(model: GaussianModel, x: np.ndarray, mean_only: bool = False) -> np.ndarray:
     """Per-sample score d log N(x; mu, Sigma) / d theta in (mean, vech cov)
-    coordinates; off-diagonal covariance entries appear once, so their score
-    components carry the factor 2."""
+    coordinates, or in the mean alone; off-diagonal covariance entries appear
+    once, so their score components carry the factor 2."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = model.dim
     prec = np.linalg.inv(model.cov)
-    u = x - model.mean
-    pu = u @ prec
-    s_mean = pu
+    pu = (x - model.mean) @ prec
+    if mean_only:
+        return pu
     g = 0.5 * (np.einsum("ni,nj->nij", pu, pu) - prec[None, :, :])
-    i, j = _vech_indices(p)
+    i, j = np.tril_indices(model.dim)
     s_cov = g[:, i, j]
     s_cov[:, i != j] *= 2.0
-    return np.concatenate([s_mean, s_cov], axis=1)
+    return np.concatenate([pu, s_cov], axis=1)
 
 
 def empirical_fisher(model: GaussianModel, x: np.ndarray) -> np.ndarray:
@@ -268,13 +263,13 @@ def empirical_fisher(model: GaussianModel, x: np.ndarray) -> np.ndarray:
 def control_coefficients(fishers: Sequence[np.ndarray]) -> list[np.ndarray]:
     """B_k = -(sum_k I_k)^{-1} I_k, with a ridge fallback when the sum is singular."""
     total = np.sum(fishers, axis=0)
+    q = total.shape[0]
+    rhs = np.stack(fishers, axis=0).transpose(1, 0, 2).reshape(q, -1)
     try:
-        solve = np.linalg.solve(total, np.stack(fishers, axis=0).transpose(1, 0, 2).reshape(total.shape[0], -1))
+        solve = np.linalg.solve(total, rhs)
     except np.linalg.LinAlgError:
         warnings.warn("singular Fisher sum; adding 1e-8 ridge")
-        total = total + RIDGE * np.eye(total.shape[0])
-        solve = np.linalg.solve(total, np.stack(fishers, axis=0).transpose(1, 0, 2).reshape(total.shape[0], -1))
-    q = total.shape[0]
+        solve = np.linalg.solve(total + RIDGE * np.eye(q), rhs)
     stacked = solve.reshape(q, len(fishers), q).transpose(1, 0, 2)
     return [-b for b in stacked]
 
@@ -287,46 +282,83 @@ def _draw_bootstrap(models: Sequence[LocalModel], n: int, rng: np.random.Generat
     return [model_sample(m, rng, n) for m in models]
 
 
-def _refit(models: Sequence[LocalModel], boots: Sequence[np.ndarray], rng: Optional[np.random.Generator]) -> list[LocalModel]:
-    out = []
-    for m, b in zip(models, boots):
-        if isinstance(m, GaussianModel):
-            mean, cov = _gaussian_mle(b)
-            out.append(GaussianModel(mean=mean, cov=cov, machine=m.machine))
-        else:
-            out.append(_gmm_em(b, m.n_components, rng))
-    return out
-
-
-def _pooled_fit(models: Sequence[LocalModel], boots: Sequence[np.ndarray], rng, sample_weights=None) -> LocalModel:
-    pooled = np.vstack(boots)
-    if isinstance(models[0], GaussianModel):
-        mean, cov = _gaussian_mle(pooled, sample_weights)
+def _fit(
+    model: LocalModel,
+    x: np.ndarray,
+    rng: Optional[np.random.Generator],
+    sample_weights: Optional[np.ndarray] = None,
+    cov: Optional[np.ndarray] = None,
+) -> LocalModel:
+    """(Weighted) MLE of ``model``'s family on x: Gaussian closed form, GMM by
+    EM seeded from rng, or with a known ``cov`` the mean alone."""
+    if cov is not None:
+        mean = x.mean(axis=0) if sample_weights is None else (sample_weights @ x) / sample_weights.sum()
         return GaussianModel(mean=mean, cov=cov)
-    return _gmm_em(pooled, models[0].n_components, rng, sample_weights)
+    if isinstance(model, GaussianModel):
+        return GaussianModel(*_gaussian_mle(x, sample_weights))
+    return _gmm_em(x, model.n_components, rng, sample_weights)
+
+
+def _ratio_weights(models: Sequence[LocalModel], refits: Sequence[LocalModel], boots: Sequence[np.ndarray]) -> np.ndarray:
+    log_ratio = np.concatenate([model_logpdf(m_hat, b) - model_logpdf(m_tilde, b)
+                                for m_hat, m_tilde, b in zip(models, refits, boots)])
+    clipped = np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)
+    if np.any(clipped != log_ratio):
+        warnings.warn("importance ratios clipped at exp(+-30)")
+    return np.exp(clipped)
+
+
+def _bootstrap_fits(
+    models: Sequence[LocalModel],
+    boots: Sequence[np.ndarray],
+    rng: Optional[np.random.Generator],
+    methods: Sequence[str],
+    cov: Optional[np.ndarray] = None,
+) -> dict[str, LocalModel]:
+    """Every requested estimator fitted from one bootstrap draw per machine.
+
+    A known shared ``cov`` makes the mean the only parameter: every refit,
+    Fisher block and correction is then over the mean alone.  The per-machine
+    refits run before the pooled fits because GMM EM seeds its init from rng.
+    """
+    if "kl-control" in methods and not all(isinstance(m, GaussianModel) for m in models):
+        raise ValueError("kl_control supports the Gaussian family only; match and convert GMMs first")
+    mean_only = cov is not None
+    pooled = np.vstack(boots)
+    fits = {}
+    if "kl-control" in methods or "kl-weighted" in methods:
+        refits = [_fit(m, b, rng, cov=cov) for m, b in zip(models, boots)]
+    if "kl-naive" in methods or "kl-control" in methods:
+        fits["kl-naive"] = _fit(models[0], pooled, rng, cov=cov)
+    if "kl-control" in methods:
+        params = (lambda m: m.mean) if mean_only else pack_gaussian
+        fishers = []
+        for m, b in zip(models, boots):
+            s = _gaussian_param_scores(m, b, mean_only)
+            fishers.append(s.T @ s / s.shape[0])
+        theta = params(fits["kl-naive"])
+        for b_k, m_hat, m_tilde in zip(control_coefficients(fishers), models, refits):
+            theta = theta + b_k @ (params(m_tilde) - params(m_hat))
+        fits["kl-control"] = GaussianModel(mean=theta, cov=cov) if mean_only else unpack_gaussian(theta, models[0].dim)
+    if "kl-weighted" in methods:
+        fits["kl-weighted"] = _fit(models[0], pooled, rng, _ratio_weights(models, refits, boots), cov)
+    if "linear" in methods:
+        linear = linear_average(models).model
+        fits["linear"] = GaussianModel(mean=linear.mean, cov=cov) if mean_only else linear
+    return {method: fit for method, fit in fits.items() if method in methods}
+
+
+def _kl_average(method: str, local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
+    if n_bootstrap < 1:
+        raise ValueError("need at least one bootstrap draw per machine")
+    boots = _draw_bootstrap(local_models, n_bootstrap, rng)
+    model = _bootstrap_fits(local_models, boots, rng, (method,))[method]
+    return AggregationResult(method, model, {"n_bootstrap": n_bootstrap, "machines": len(local_models)})
 
 
 def kl_naive(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
     """Pooled MLE over n parametric-bootstrap draws from every local model."""
-    if n_bootstrap < 1:
-        raise ValueError("need at least one bootstrap draw per machine")
-    boots = _draw_bootstrap(local_models, n_bootstrap, rng)
-    model = _pooled_fit(local_models, boots, rng)
-    return AggregationResult("kl-naive", model, {"n_bootstrap": n_bootstrap, "machines": len(local_models)})
-
-
-def _kl_control_core(
-    models: Sequence[LocalModel],
-    boots: Sequence[np.ndarray],
-    refits: Sequence[LocalModel],
-    naive: GaussianModel,
-) -> GaussianModel:
-    fishers = [empirical_fisher(m, b) for m, b in zip(models, boots)]
-    bs = control_coefficients(fishers)
-    theta = pack_gaussian(naive)
-    for b_k, m_hat, m_tilde in zip(bs, models, refits):
-        theta = theta + b_k @ (pack_gaussian(m_tilde) - pack_gaussian(m_hat))
-    return unpack_gaussian(theta, models[0].dim)
+    return _kl_average("kl-naive", local_models, n_bootstrap, rng)
 
 
 def kl_control(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
@@ -335,34 +367,7 @@ def kl_control(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.ran
     Implemented for the Gaussian family, whose parameters are additive; GMM
     inputs must be component-matched and are not supported here.
     """
-    if not all(isinstance(m, GaussianModel) for m in local_models):
-        raise ValueError("kl_control supports the Gaussian family only; match and convert GMMs first")
-    boots = _draw_bootstrap(local_models, n_bootstrap, rng)
-    refits = _refit(local_models, boots, rng)
-    naive = _pooled_fit(local_models, boots, rng)
-    model = _kl_control_core(local_models, boots, refits, naive)
-    return AggregationResult("kl-control", model, {"n_bootstrap": n_bootstrap, "machines": len(local_models)})
-
-
-def _ratio_weights(models: Sequence[LocalModel], refits: Sequence[LocalModel], boots: Sequence[np.ndarray]) -> np.ndarray:
-    logs = []
-    for m_hat, m_tilde, b in zip(models, refits, boots):
-        logs.append(model_logpdf(m_hat, b) - model_logpdf(m_tilde, b))
-    log_ratio = np.concatenate(logs)
-    clipped = np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)
-    if np.any(clipped != log_ratio):
-        warnings.warn("importance ratios clipped at exp(+-30)")
-    return np.exp(clipped)
-
-
-def _kl_weighted_core(
-    models: Sequence[LocalModel],
-    boots: Sequence[np.ndarray],
-    refits: Sequence[LocalModel],
-    rng: Optional[np.random.Generator],
-) -> LocalModel:
-    weights = _ratio_weights(models, refits, boots)
-    return _pooled_fit(models, boots, rng, sample_weights=weights)
+    return _kl_average("kl-control", local_models, n_bootstrap, rng)
 
 
 def kl_weighted(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
@@ -372,10 +377,7 @@ def kl_weighted(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.ra
     With theta-tilde = theta-hat the ratios are identically 1 and the
     estimator reduces to the naive one exactly.
     """
-    boots = _draw_bootstrap(local_models, n_bootstrap, rng)
-    refits = _refit(local_models, boots, rng)
-    model = _kl_weighted_core(local_models, boots, refits, rng)
-    return AggregationResult("kl-weighted", model, {"n_bootstrap": n_bootstrap, "machines": len(local_models)})
+    return _kl_average("kl-weighted", local_models, n_bootstrap, rng)
 
 
 def symmetric_kl_gaussians(m1: np.ndarray, c1: np.ndarray, m2: np.ndarray, c2: np.ndarray) -> float:
@@ -476,43 +478,6 @@ def gaussian_mse(model: GaussianModel, reference: GaussianModel) -> float:
     return float(np.sum((model.mean - reference.mean) ** 2) + np.sum((model.cov - reference.cov) ** 2))
 
 
-def _known_cov_fits(models: Sequence[GaussianModel], boots: Sequence[np.ndarray], methods) -> dict:
-    """Estimators in the known-covariance regime: only the mean is unknown.
-
-    The shared covariance enters the ratio weights and the Fisher blocks but
-    is never re-estimated, so every estimator is a (weighted or corrected)
-    mean and the covariance block contributes no error.
-    """
-    cov = models[0].cov
-    prec = np.linalg.inv(cov)
-    pooled = np.vstack(boots)
-    naive_mean = pooled.mean(axis=0)
-    mean_hats = [m.mean for m in models]
-    mean_tildes = [b.mean(axis=0) for b in boots]
-    fits = {}
-    if "kl-naive" in methods:
-        fits["kl-naive"] = naive_mean
-    if "kl-control" in methods:
-        fishers = []
-        for m, b in zip(models, boots):
-            s = (b - m.mean) @ prec
-            fishers.append(s.T @ s / b.shape[0])
-        bs = control_coefficients(fishers)
-        theta = naive_mean.copy()
-        for b_k, hat, tilde in zip(bs, mean_hats, mean_tildes):
-            theta = theta + b_k @ (tilde - hat)
-        fits["kl-control"] = theta
-    if "kl-weighted" in methods:
-        logs = []
-        for m, b, tilde in zip(models, boots, mean_tildes):
-            logs.append(_gaussian_logpdf(b, m.mean, cov) - _gaussian_logpdf(b, tilde, cov))
-        w = np.exp(np.clip(np.concatenate(logs), -LOG_RATIO_CLIP, LOG_RATIO_CLIP))
-        fits["kl-weighted"] = (w @ pooled) / w.sum()
-    if "linear" in methods:
-        fits["linear"] = np.mean(mean_hats, axis=0)
-    return {k: GaussianModel(mean=v, cov=cov.copy()) for k, v in fits.items()}
-
-
 def gaussian_rate_experiment(
     n_machines: int,
     dim: int,
@@ -544,23 +509,10 @@ def gaussian_rate_experiment(
             stream_rng(seed, trial, 0), n_machines, dim, big_n, known_covariance=known_covariance
         )
         reference = exact_kl_optimum_gaussian(models)
+        cov = models[0].cov if known_covariance else None
         for i_n, n in enumerate(n_grid):
             rng = stream_rng(seed, trial, 1 + i_n)
-            boots = _draw_bootstrap(models, n, rng)
-            if known_covariance:
-                fits = _known_cov_fits(models, boots, methods)
-            else:
-                refits = _refit(models, boots, rng)
-                naive = _pooled_fit(models, boots, rng)
-                fits = {}
-                if "kl-naive" in methods:
-                    fits["kl-naive"] = naive
-                if "kl-control" in methods:
-                    fits["kl-control"] = _kl_control_core(models, boots, refits, naive)
-                if "kl-weighted" in methods:
-                    fits["kl-weighted"] = _kl_weighted_core(models, boots, refits, rng)
-                if "linear" in methods:
-                    fits["linear"] = linear_average(models).model
+            fits = _bootstrap_fits(models, _draw_bootstrap(models, n, rng), rng, methods, cov)
             for method, fit in fits.items():
                 rows.append({
                     "method": method,

@@ -24,7 +24,7 @@ from typing import Optional
 import jsonschema
 import numpy as np
 
-from . import aggregation, discrete, gfsvgd, gof, kernels, ksd, models, steinis, svgd
+from . import discrete, gfsvgd, gof, kernels, ksd, models, steinis, svgd
 from .config_schema import CONFIG_SCHEMAS
 from .errors import ConfigError, NumericalFailure
 from .rngs import stream_rng
@@ -395,6 +395,8 @@ def run_bbis_cmd(cfg, seed, outdir, threads):
 
 
 def run_aggregate_cmd(cfg, seed, outdir, threads):
+    from . import aggregation  # scipy.stats and scipy.optimize: imported only by this subcommand
+
     methods = tuple(cfg.get("methods", ["kl-naive", "kl-control", "kl-weighted"]))
     common = dict(n_machines=cfg["machines"], dim=cfg["dim"], n_grid=cfg["n_grid"],
                   n_trials=cfg["trials"], seed=seed, big_n=cfg.get("big_n", 6e7), methods=methods,

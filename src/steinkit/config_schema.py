@@ -7,18 +7,11 @@ computation runs; unknown keys are rejected everywhere.  ``steinkit <cmd>
 
 from __future__ import annotations
 
-_KERNEL = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "bandwidth": {
-            "oneOf": [
-                {"type": "number", "exclusiveMinimum": 0},
-                {"const": "median-heuristic"},
-            ]
-        },
-    },
+_BANDWIDTH_OR_MEDIAN = {
+    "oneOf": [{"type": "number", "exclusiveMinimum": 0}, {"const": "median-heuristic"}]
 }
+
+_KERNEL = {"type": "object", "additionalProperties": False, "properties": {"bandwidth": _BANDWIDTH_OR_MEDIAN}}
 
 _SCHEDULE = {
     "type": "object",
@@ -141,8 +134,16 @@ _DISCRETE_MODEL = {
 }
 
 _SURROGATE_MODE = {"enum": ["base", "relaxed", "ising"]}
-_BANDWIDTH_OR_MEDIAN = {
-    "oneOf": [{"type": "number", "exclusiveMinimum": 0}, {"const": "median-heuristic"}]
+
+# the continuous surrogate of gfsvgd and bbis: the target itself or a Gaussian
+_SURROGATE = {
+    "oneOf": [
+        {"type": "object", "additionalProperties": False, "required": ["type"],
+         "properties": {"type": {"const": "target"}}},
+        {"type": "object", "additionalProperties": False, "required": ["type", "mu", "sigma"],
+         "properties": {"type": {"const": "gaussian"}, "mu": _VECTOR,
+                        "sigma": {"type": "number", "exclusiveMinimum": 0}}},
+    ]
 }
 
 
@@ -176,15 +177,7 @@ CONFIG_SCHEMAS: dict[str, dict] = {
         ["model", "n", "iters"],
         {
             "model": _CONTINUOUS_MODEL,
-            "surrogate": {
-                "oneOf": [
-                    {"type": "object", "additionalProperties": False, "required": ["type"],
-                     "properties": {"type": {"const": "target"}}},
-                    {"type": "object", "additionalProperties": False, "required": ["type", "mu", "sigma"],
-                     "properties": {"type": {"const": "gaussian"}, "mu": _VECTOR,
-                                    "sigma": {"type": "number", "exclusiveMinimum": 0}}},
-                ]
-            },
+            "surrogate": _SURROGATE,
             "weight_mode": {"enum": ["self-normalized", "plain", "rank"]},
             "n": {"type": "integer", "minimum": 1},
             "iters": {"type": "integer", "minimum": 0},
@@ -271,15 +264,7 @@ CONFIG_SCHEMAS: dict[str, dict] = {
         ["model", "points"],
         {
             "model": _CONTINUOUS_MODEL,
-            "surrogate": {
-                "oneOf": [
-                    {"type": "object", "additionalProperties": False, "required": ["type"],
-                     "properties": {"type": {"const": "target"}}},
-                    {"type": "object", "additionalProperties": False, "required": ["type", "mu", "sigma"],
-                     "properties": {"type": {"const": "gaussian"}, "mu": _VECTOR,
-                                    "sigma": {"type": "number", "exclusiveMinimum": 0}}},
-                ]
-            },
+            "surrogate": _SURROGATE,
             "points": {
                 "oneOf": [
                     {"type": "object", "additionalProperties": False, "required": ["path"],
@@ -311,12 +296,11 @@ CONFIG_SCHEMAS: dict[str, dict] = {
         },
     ),
     "oracle": _command(
-        ["oracle"],
+        ["oracle", "model"],
         {
             "oracle": {"enum": ["brute-force", "finite-difference-score"]},
             "model": {"oneOf": [_CONTINUOUS_MODEL, _DISCRETE_MODEL]},
             "points": {"type": "integer", "minimum": 1},
-            "eps": {"type": "number", "exclusiveMinimum": 0},
         },
     ),
 }

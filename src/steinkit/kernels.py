@@ -33,12 +33,9 @@ class KernelSpec:
     current point set every iteration.
     """
 
-    family: str = "rbf"
     bandwidth: float | str = MEDIAN_HEURISTIC
 
     def __post_init__(self):
-        if self.family != "rbf":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != MEDIAN_HEURISTIC:
                 raise ValueError(f"unknown bandwidth sentinel: {self.bandwidth!r}")

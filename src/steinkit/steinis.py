@@ -20,15 +20,11 @@ from scipy.linalg import lu_factor
 from scipy.special import logsumexp
 
 from . import kernels
-from .errors import (
-    DivergenceError,
-    InvalidApproximationError,
-    SingularTransformError,
-)
+from .errors import InvalidApproximationError, SingularTransformError
 from .gfsvgd import WeightedSample
 from .kernels import KernelSpec, resolve_bandwidth
 from .models import ContinuousTarget
-from .svgd import DIVERGENCE_LIMIT, StepSchedule, run_particles, stein_direction
+from .svgd import StepSchedule, check_divergence, run_particles, stein_direction
 
 PIVOT_FLOOR = 1e-14
 FIRST_ORDER_EPS_MAX = 0.1
@@ -226,10 +222,7 @@ def run_steinis(
         followers = followers + eps * phi_f
         log_q = log_q - log_dets
         eps_history.append(eps)
-        if not (np.all(np.isfinite(leaders)) and np.all(np.isfinite(followers))):
-            raise DivergenceError(f"non-finite particle positions at iteration {it}")
-        if max(np.max(np.abs(leaders)), np.max(np.abs(followers))) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"particle positions exceeded {DIVERGENCE_LIMIT:g} at iteration {it}")
+        check_divergence(it, leaders, followers)
     log_w = np.asarray(target.log_density(followers), dtype=float) - log_q
     z_hat = float(np.exp(logsumexp(log_w) - np.log(n_followers)))
     sample = WeightedSample(positions=followers, log_weights=log_w)

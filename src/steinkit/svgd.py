@@ -115,6 +115,15 @@ def svgd_direction(particles: np.ndarray, target: ContinuousTarget, kernel: Kern
     return stein_direction(x, target.score(x), np.ones(n), float(n), h, sq=sq)
 
 
+def check_divergence(it: int, *positions: np.ndarray) -> None:
+    """Raise DivergenceError if any coordinate is non-finite or exceeds the
+    divergence limit in magnitude after iteration ``it``."""
+    if not all(np.all(np.isfinite(x)) for x in positions):
+        raise DivergenceError(f"non-finite particle positions at iteration {it}")
+    if max(np.max(np.abs(x)) for x in positions) > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"particle positions exceeded {DIVERGENCE_LIMIT:g} at iteration {it}")
+
+
 def apply_direction(ensemble: ParticleEnsemble, direction: np.ndarray, schedule: StepSchedule) -> ParticleEnsemble:
     """Advance positions by the schedule-scaled direction; increments the counter.
 
@@ -136,10 +145,7 @@ def apply_direction(ensemble: ParticleEnsemble, direction: np.ndarray, schedule:
     else:
         new_positions = ensemble.positions + schedule.scalar_eps(it) * direction
         new_m, new_v = ensemble.adam_m, ensemble.adam_v
-    if not np.all(np.isfinite(new_positions)):
-        raise DivergenceError(f"non-finite particle positions at iteration {it}")
-    if np.max(np.abs(new_positions)) > DIVERGENCE_LIMIT:
-        raise DivergenceError(f"particle positions exceeded {DIVERGENCE_LIMIT:g} at iteration {it}")
+    check_divergence(it, new_positions)
     return ParticleEnsemble(positions=new_positions, iteration=it + 1, adam_m=new_m, adam_v=new_v)
 
 

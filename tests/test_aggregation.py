@@ -4,14 +4,18 @@ from scipy.optimize import minimize_scalar
 
 from steinkit import aggregation
 from steinkit.aggregation import (
+    LOG_RATIO_CLIP,
     AggregationResult,
     GaussianModel,
     GMMModel,
+    _bootstrap_fits,
+    _draw_asymptotic_local_models,
     _draw_bootstrap,
+    _fit,
+    _gaussian_logpdf,
+    _gaussian_mle,
     _gmm_em,
-    _kl_weighted_core,
-    _pooled_fit,
-    _refit,
+    _ratio_weights,
     control_coefficients,
     empirical_fisher,
     exact_kl_average_gaussian,
@@ -95,7 +99,7 @@ class TestKLNaive:
         models = [GaussianModel(mean=np.array([m]), cov=np.array([[1.0]])) for m in (-1.0, 0.5, 2.0)]
         rng = stream_rng(83, 1)
         boots = _draw_bootstrap(models, 200, rng)
-        fit = _pooled_fit(models, boots, None)
+        fit = _fit(models[0], np.vstack(boots), None)
         assert fit.mean[0] == pytest.approx(np.vstack(boots).mean(), rel=1e-12)
 
 
@@ -132,8 +136,9 @@ class TestKLWeighted:
         models = [GaussianModel(mean=np.array([m]), cov=np.array([[1.0]])) for m in (-0.5, 0.5)]
         rng = stream_rng(85, 0)
         boots = _draw_bootstrap(models, 100, rng)
-        weighted = _kl_weighted_core(models, boots, models, None)
-        naive = _pooled_fit(models, boots, None)
+        pooled = np.vstack(boots)
+        weighted = _fit(models[0], pooled, None, _ratio_weights(models, models, boots))
+        naive = _fit(models[0], pooled, None)
         assert np.array_equal(weighted.mean, naive.mean)
         assert np.array_equal(weighted.cov, naive.cov)
 
@@ -141,8 +146,8 @@ class TestKLWeighted:
         models = [GaussianModel(mean=np.array([0.3]), cov=np.array([[1.0]]))]
         rng = stream_rng(85, 1)
         boots = _draw_bootstrap(models, 200, rng)
-        refits = _refit(models, boots, None)
-        fit = _kl_weighted_core(models, boots, refits, None)
+        refits = [_fit(m, b, None) for m, b in zip(models, boots)]
+        fit = _fit(models[0], np.vstack(boots), None, _ratio_weights(models, refits, boots))
         w = np.exp(model_logpdf(models[0], boots[0]) - model_logpdf(refits[0], boots[0]))
         x = boots[0][:, 0]
 
@@ -253,3 +258,141 @@ class TestExperimentPlumbing:
         x = model_sample(model, stream_rng(87, 0), 200_000)
         assert abs(x.mean()) < 0.03
         assert abs((x ** 2).mean() - 5.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# Oracles: each regime's estimators written out in that regime's own
+# arithmetic, over the mean alone with a known covariance and over
+# (mean, vech cov) otherwise.  _bootstrap_fits must match them bit for bit,
+# including the rounding that differs between the regimes: the known-
+# covariance unweighted mean is x.mean(axis=0), the full-family MLE's is
+# (w @ x) / w.sum().
+# ---------------------------------------------------------------------------
+
+ALL_METHODS = ("kl-naive", "kl-control", "kl-weighted", "linear")
+
+
+def known_cov_fits_oracle(models, boots, methods):
+    cov = models[0].cov
+    prec = np.linalg.inv(cov)
+    pooled = np.vstack(boots)
+    naive_mean = pooled.mean(axis=0)
+    mean_hats = [m.mean for m in models]
+    mean_tildes = [b.mean(axis=0) for b in boots]
+    fits = {}
+    if "kl-naive" in methods:
+        fits["kl-naive"] = naive_mean
+    if "kl-control" in methods:
+        fishers = []
+        for m, b in zip(models, boots):
+            s = (b - m.mean) @ prec
+            fishers.append(s.T @ s / b.shape[0])
+        bs = control_coefficients(fishers)
+        theta = naive_mean.copy()
+        for b_k, hat, tilde in zip(bs, mean_hats, mean_tildes):
+            theta = theta + b_k @ (tilde - hat)
+        fits["kl-control"] = theta
+    if "kl-weighted" in methods:
+        logs = []
+        for m, b, tilde in zip(models, boots, mean_tildes):
+            logs.append(_gaussian_logpdf(b, m.mean, cov) - _gaussian_logpdf(b, tilde, cov))
+        w = np.exp(np.clip(np.concatenate(logs), -LOG_RATIO_CLIP, LOG_RATIO_CLIP))
+        fits["kl-weighted"] = (w @ pooled) / w.sum()
+    if "linear" in methods:
+        fits["linear"] = np.mean(mean_hats, axis=0)
+    return {k: GaussianModel(mean=v, cov=cov.copy()) for k, v in fits.items()}
+
+
+def full_family_fits_oracle(models, boots, methods):
+    refits = [GaussianModel(*_gaussian_mle(b)) for b in boots]
+    naive = GaussianModel(*_gaussian_mle(np.vstack(boots)))
+    fits = {}
+    if "kl-naive" in methods:
+        fits["kl-naive"] = naive
+    if "kl-control" in methods:
+        bs = control_coefficients([empirical_fisher(m, b) for m, b in zip(models, boots)])
+        theta = pack_gaussian(naive)
+        for b_k, m_hat, m_tilde in zip(bs, models, refits):
+            theta = theta + b_k @ (pack_gaussian(m_tilde) - pack_gaussian(m_hat))
+        fits["kl-control"] = unpack_gaussian(theta, models[0].dim)
+    if "kl-weighted" in methods:
+        log_ratio = np.concatenate([model_logpdf(h, b) - model_logpdf(t, b) for h, t, b in zip(models, refits, boots)])
+        w = np.exp(np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP))
+        fits["kl-weighted"] = GaussianModel(*_gaussian_mle(np.vstack(boots), w))
+    if "linear" in methods:
+        fits["linear"] = linear_average(models).model
+    return fits
+
+
+def assert_same_fits(got, want):
+    assert list(got) == list(want)
+    for method in want:
+        assert np.array_equal(got[method].mean, want[method].mean), method
+        assert np.array_equal(got[method].cov, want[method].cov), method
+
+
+class TestSharedEstimatorPath:
+    @pytest.mark.parametrize("known_covariance", [True, False], ids=["known-cov", "full-family"])
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    @pytest.mark.parametrize("n", [7, 50, 400])
+    def test_matches_per_regime_oracle(self, known_covariance, trial, n):
+        models = _draw_asymptotic_local_models(stream_rng(88, trial, 0), 6, 3, 6e5, known_covariance)
+        boots = _draw_bootstrap(models, n, stream_rng(88, trial, 1))
+        cov = models[0].cov if known_covariance else None
+        oracle = known_cov_fits_oracle if known_covariance else full_family_fits_oracle
+        assert_same_fits(_bootstrap_fits(models, boots, None, ALL_METHODS, cov), oracle(models, boots, ALL_METHODS))
+        for method in ALL_METHODS:  # one method alone gives the same fit
+            assert_same_fits(_bootstrap_fits(models, boots, None, (method,), cov),
+                             oracle(models, boots, (method,)))
+
+    def test_rate_experiment_rows_use_the_shared_path(self):
+        for known_covariance in (True, False):
+            rows = aggregation.gaussian_rate_experiment(4, 2, [30], 2, seed=5, methods=ALL_METHODS,
+                                                        known_covariance=known_covariance)
+            oracle = known_cov_fits_oracle if known_covariance else full_family_fits_oracle
+            for trial in range(2):
+                models = _draw_asymptotic_local_models(stream_rng(5, trial, 0), 4, 2, 6e7, known_covariance)
+                boots = _draw_bootstrap(models, 30, stream_rng(5, trial, 1))
+                reference = exact_kl_optimum_gaussian(models)
+                want = {m: aggregation.gaussian_mse(f, reference) for m, f in oracle(models, boots, ALL_METHODS).items()}
+                got = {r["method"]: r["mse"] for r in rows if r["trial"] == trial}
+                assert got == want
+
+    @pytest.mark.parametrize("method", ["kl-naive", "kl-control", "kl-weighted"])
+    def test_public_wrappers_draw_then_fit(self, method):
+        models = _draw_asymptotic_local_models(stream_rng(89, 0), 3, 2, 3e4)
+        run = {"kl-naive": kl_naive, "kl-control": kl_control, "kl-weighted": kl_weighted}[method]
+        res = run(models, 40, stream_rng(89, 1))
+        boots = _draw_bootstrap(models, 40, stream_rng(89, 1))
+        assert res.method == method
+        assert_same_fits({method: res.model}, {method: full_family_fits_oracle(models, boots, ALL_METHODS)[method]})
+
+    def test_gmm_wrappers_refit_before_the_pooled_fit(self):
+        means = np.array([[-3.0, 0.0], [3.0, 0.0]])
+        models = [GMMModel(weights=np.array([0.4, 0.6]), means=means + 0.1 * k, covs=np.stack([np.eye(2)] * 2),
+                           machine=k) for k in range(3)]
+        rng = stream_rng(90, 0)
+        boots = _draw_bootstrap(models, 60, rng)
+        refits = [_gmm_em(b, 2, rng) for b in boots]
+        log_ratio = np.concatenate([model_logpdf(h, b) - model_logpdf(t, b) for h, t, b in zip(models, refits, boots)])
+        want = _gmm_em(np.vstack(boots), 2, rng, np.exp(np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)))
+        got = kl_weighted(models, 60, stream_rng(90, 0)).model
+        for a in ("weights", "means", "covs"):
+            assert np.array_equal(getattr(got, a), getattr(want, a))
+        rng = stream_rng(90, 1)
+        want = _gmm_em(np.vstack(_draw_bootstrap(models, 60, rng)), 2, rng)
+        got = kl_naive(models, 60, stream_rng(90, 1)).model
+        for a in ("weights", "means", "covs"):
+            assert np.array_equal(getattr(got, a), getattr(want, a))
+        # both pooled fits after every refit, naive before weighted
+        rng = stream_rng(90, 2)
+        boots = _draw_bootstrap(models, 60, rng)
+        fits = _bootstrap_fits(models, boots, rng, ("kl-naive", "kl-weighted"))
+        rng = stream_rng(90, 2)
+        boots = _draw_bootstrap(models, 60, rng)
+        refits = [_gmm_em(b, 2, rng) for b in boots]
+        naive = _gmm_em(np.vstack(boots), 2, rng)
+        weighted = _gmm_em(np.vstack(boots), 2, rng, _ratio_weights(models, refits, boots))
+        for got, want in ((fits["kl-naive"], naive), (fits["kl-weighted"], weighted)):
+            for a in ("weights", "means", "covs"):
+                assert np.array_equal(getattr(got, a), getattr(want, a))

@@ -79,6 +79,8 @@ BAD_INPUT = {
     "discrete-sample-surrogate-exact": ("discrete-sample", {"model": ISING_2X2, "n": 10, "iters": 2,
                                                            "surrogate_mode": "exact"}, None),
     "categorical-duplicate-states": ("discrete-sample", {"model": DUPLICATE_STATES, "n": 10, "iters": 2}, None),
+    "oracle-without-model": ("oracle", {"oracle": "brute-force"}, None),
+    "oracle-unread-eps": ("oracle", {"oracle": "finite-difference-score", "model": GAUSS_1D, "eps": 1e-4}, None),
 }
 
 
@@ -253,3 +255,9 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+    def test_cli_import_leaves_aggregation_unloaded(self):
+        # aggregation pulls in scipy.stats and scipy.optimize; only `aggregate` needs them
+        code = "import sys, steinkit.cli; print('steinkit.aggregation' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -213,8 +213,6 @@ class TestWeightedKernel:
 class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            KernelSpec(family="matern")
-        with pytest.raises(ValueError):
             KernelSpec(bandwidth=-1.0)
         with pytest.raises(ValueError):
             KernelSpec(bandwidth="adaptive")
