@@ -11,6 +11,13 @@ interquartile range of each side and the number of pairs that the change won.
 Then times acceptance criteria 4 and 5 in each checkout (``pytest
 --durations=0``, with single-threaded BLAS as in clibench).  The machine
 (cores, Python, numpy/scipy/BLAS versions) goes into the file as well.
+
+With ``--tier1`` it runs neither: it runs the whole Tier-1 suite once in
+each checkout, base first, and records every test's duration (setup, call
+and teardown summed) with the suite's closing line:
+
+    python3 scripts/bench_pairs.py --base ../steinkit-parent --change . \\
+        --tier1 --out BENCH_1.json
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import platform
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +49,25 @@ def clibench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def criteria_durations(tree: Path) -> dict:
+def _pytest(tree: Path, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), **THREAD_ENV}
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0", *CRITERIA],
-                         cwd=tree, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0", *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
+def criteria_durations(tree: Path) -> dict:
+    out = _pytest(tree, *CRITERIA)
     times = {m[2]: float(m[1]) for m in re.finditer(r"([\d.]+)s call\s+\S+::(\S+)", out.stdout)}
     return {"returncode": out.returncode, "call_s": times}
+
+
+def tier1_durations(tree: Path) -> dict:
+    out = _pytest(tree, "--durations-min=0", "--continue-on-collection-errors")
+    times = defaultdict(float)
+    for m in re.finditer(r"([\d.]+)s (?:setup|call|teardown)\s+(\S+)", out.stdout):
+        times[m[2]] += float(m[1])
+    return {"returncode": out.returncode, "result": out.stdout.strip().splitlines()[-1],
+            "total_s": round(sum(times.values()), 2), "test_s": dict(sorted(times.items()))}
 
 
 def summarize(base: list, change: list) -> dict:
@@ -72,9 +93,17 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--seeds", required=True, help="first-last, inclusive")
+    ap.add_argument("--seeds", help="first-last, inclusive (required without --tier1)")
+    ap.add_argument("--tier1", action="store_true", help="time every Tier-1 test instead")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    if args.tier1:
+        result = {"machine": machine(), "tier1": {side: tier1_durations(getattr(args, side))
+                                                  for side in ("base", "change")}}
+        args.out.write_text(json.dumps(result, indent=1) + "\n")
+        return
+    if args.seeds is None:
+        ap.error("--seeds is required without --tier1")
     first, last = (int(s) for s in args.seeds.split("-"))
     seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
     result = {"machine": machine(), "seconds": seconds, "workloads": {}}

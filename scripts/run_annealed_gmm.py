@@ -40,7 +40,7 @@ def main():
     # ess_floor=0: the fixed wide surrogate degenerates in 25 dimensions by
     # design -- this stress regime is the point of the comparison
     gf = gfsvgd.run_gf_svgd(
-        target, gfsvgd.Surrogate(rho.log_density, rho.score), args.n, args.iters,
+        target, rho, args.n, args.iters,
         kernels.KernelSpec(), schedule, "self-normalized", stream_rng(args.seed, 0), p0_sampler,
         ess_floor=0.0,
     )

@@ -254,9 +254,10 @@ def _gaussian_param_scores(model: GaussianModel, x: np.ndarray, mean_only: bool 
     return np.concatenate([pu, s_cov], axis=1)
 
 
-def empirical_fisher(model: GaussianModel, x: np.ndarray) -> np.ndarray:
-    """(1/n) sum_j s s' over the bootstrap points, s the parameter score."""
-    s = _gaussian_param_scores(model, x)
+def empirical_fisher(model: GaussianModel, x: np.ndarray, mean_only: bool = False) -> np.ndarray:
+    """(1/n) sum_j s s' over the bootstrap points, s the parameter score
+    (of the mean alone when ``mean_only``)."""
+    s = _gaussian_param_scores(model, x, mean_only)
     return s.T @ s / s.shape[0]
 
 
@@ -332,10 +333,7 @@ def _bootstrap_fits(
         fits["kl-naive"] = _fit(models[0], pooled, rng, cov=cov)
     if "kl-control" in methods:
         params = (lambda m: m.mean) if mean_only else pack_gaussian
-        fishers = []
-        for m, b in zip(models, boots):
-            s = _gaussian_param_scores(m, b, mean_only)
-            fishers.append(s.T @ s / s.shape[0])
+        fishers = [empirical_fisher(m, b, mean_only) for m, b in zip(models, boots)]
         theta = params(fits["kl-naive"])
         for b_k, m_hat, m_tilde in zip(control_coefficients(fishers), models, refits):
             theta = theta + b_k @ (params(m_tilde) - params(m_hat))

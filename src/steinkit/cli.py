@@ -97,21 +97,14 @@ def validate_config(subcommand: str, config: dict) -> None:
 # Config -> library object builders
 # ---------------------------------------------------------------------------
 
+# the kernel and schedule schemas list exactly the dataclass fields, so the
+# library's defaults are the only ones
 def build_kernel(spec: Optional[dict]) -> kernels.KernelSpec:
-    spec = spec or {}
-    return kernels.KernelSpec(bandwidth=spec.get("bandwidth", "median-heuristic"))
+    return kernels.KernelSpec(**(spec or {}))
 
 
 def build_schedule(spec: Optional[dict]) -> svgd.StepSchedule:
-    spec = spec or {}
-    return svgd.StepSchedule(
-        mode=spec.get("mode", "adam"),
-        eps=spec.get("eps", 0.05),
-        beta1=spec.get("beta1", 0.9),
-        beta2=spec.get("beta2", 0.999),
-        delta=spec.get("delta", 1e-8),
-        decay_exponent=spec.get("decay_exponent", 0.5),
-    )
+    return svgd.StepSchedule(**(spec or {}))
 
 
 def _gmm_model(weights, means, sigma, log_scale=0.0, normalized=False) -> models.ContinuousTarget:
@@ -190,11 +183,10 @@ def _gaussian_init(spec: Optional[dict], dim: int):
     return models.gaussian_sampler(np.asarray(spec["mu"], dtype=float), spec["sigma"])
 
 
-def build_surrogate(spec: Optional[dict], target: models.ContinuousTarget) -> gfsvgd.Surrogate:
+def build_surrogate(spec: Optional[dict], target: models.ContinuousTarget) -> models.ContinuousTarget:
     if spec is None or spec["type"] == "target":
-        return gfsvgd.surrogate_from_target(target)
-    aux = models.gaussian_target(np.asarray(spec["mu"], dtype=float), spec["sigma"])
-    return gfsvgd.Surrogate(log_density=aux.log_density, score=aux.score)
+        return target
+    return models.gaussian_target(np.asarray(spec["mu"], dtype=float), spec["sigma"])
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +248,10 @@ def run_agf_svgd_cmd(cfg, seed, outdir, threads):
     betas = np.linspace(0.0, 1.0, cfg["n_temps"] + 1)
     metrics = MetricsWriter()
     every = cfg.get("metric_every", 10)
-    smoothing = cfg.get("smoothing_h", "median-heuristic")
     result = gfsvgd.run_agf_svgd(
         target, p0, betas, cfg["n"], build_kernel(cfg.get("kernel")), build_schedule(cfg.get("schedule")),
         stream_rng(seed, STREAM_INIT), _gaussian_init(cfg["p0"], target.dim),
-        smoothing_h=None if smoothing == "median-heuristic" else float(smoothing),
+        smoothing=kernels.KernelSpec(cfg.get("smoothing_h", kernels.MEDIAN_HEURISTIC)),
         callback=_trace_callback(metrics, every, cfg["n_temps"]),
     )
     for i in range(0, cfg["n_temps"], every):
@@ -312,6 +303,8 @@ def run_path_logz_cmd(cfg, seed, outdir, threads):
 
 
 def _discrete_surrogate(cfg, ising_params):
+    """The ``ising`` surrogate (only the CLI holds the grid's parameters), or
+    the mode name for ``discrete.resolve_surrogate``."""
     mode = cfg.get("surrogate_mode", "base")
     if mode == "ising":
         if ising_params is None:
@@ -352,12 +345,10 @@ def run_gof_cmd(cfg, seed, outdir, threads):
     else:
         data_target, _ = build_discrete_model(cfg["data"]["model"], seed)
         z = models.sample_discrete_target(stream_rng(seed, STREAM_DATA), cfg["data"]["n"], data_target)
-    surrogate = _discrete_surrogate(cfg, params)
-    kernel_h = cfg.get("kernel_h", "median-heuristic")
     report = gof.gof_test(
         z, target, alpha=cfg.get("alpha", 0.05), m=cfg.get("m", 1000), seed=seed,
-        surrogate_mode=surrogate, kernel_h=None if kernel_h == "median-heuristic" else float(kernel_h),
-        param=param,
+        surrogate_mode=_discrete_surrogate(cfg, params),
+        kernel=kernels.KernelSpec(cfg.get("kernel_h", kernels.MEDIAN_HEURISTIC)), param=param,
     )
     metrics = MetricsWriter()
     metrics.add(0, "statistic", report.statistic)
@@ -378,9 +369,8 @@ def run_bbis_cmd(cfg, seed, outdir, threads):
         points = models.gaussian_sampler(np.asarray(pts["mu"], dtype=float), pts["sigma"])(
             stream_rng(seed, STREAM_DATA), pts["n"]
         )
-    kernel_h = cfg.get("kernel_h", "median-heuristic")
     sq = kernels.pairwise_sq_dists(points, points)
-    h = kernels.median_bandwidth(points, sq) if kernel_h == "median-heuristic" else float(kernel_h)
+    h = kernels.resolve_bandwidth(kernels.KernelSpec(cfg.get("kernel_h", kernels.MEDIAN_HEURISTIC)), points, sq)
     gram = ksd.gf_stein_gram(points, surrogate, target.log_density, h, sq=sq)
     weights = ksd.bbis_weights(gram, max_iter=cfg.get("max_iter", 10000), tol=cfg.get("tol", 1e-10))
     objective = float(weights @ gram @ weights)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erfc, expit
 
 from .errors import InvalidLambdaError
-from .gfsvgd import GFSVGDResult, Surrogate, run_gf_svgd
+from .gfsvgd import GFSVGDResult, run_gf_svgd
 from .kernels import KernelSpec
 from .models import ContinuousTarget, DiscreteTarget, IsingParams, _rowwise
 from .svgd import StepSchedule
@@ -149,16 +149,12 @@ def pc_target(param: ContinuousParameterization) -> ContinuousTarget:
     return ContinuousTarget(dim=param.dims, log_density=lambda x: pc_log_density(x, param), score=None)
 
 
-def base_surrogate(param: ContinuousParameterization) -> Surrogate:
+def base_surrogate(param: ContinuousParameterization) -> ContinuousTarget:
     """The base distribution itself as surrogate: rho = p0, score -x."""
-
-    def score(x):
-        return -x
-
-    return Surrogate(log_density=_rowwise(_log_p0), score=_rowwise(score))
+    return ContinuousTarget(dim=param.dims, log_density=_rowwise(_log_p0), score=_rowwise(lambda x: -x))
 
 
-def exact_pc_surrogate(param: ContinuousParameterization) -> Surrogate:
+def exact_pc_surrogate(param: ContinuousParameterization) -> ContinuousTarget:
     """p_c as log density, paired with its almost-everywhere score -x.
 
     Not a valid sampling surrogate: -x ignores the jumps of p_c between bins,
@@ -167,13 +163,11 @@ def exact_pc_surrogate(param: ContinuousParameterization) -> Surrogate:
     N(0, I) base, which maps to the uniform law over states whatever the
     target.  No surrogate mode selects it; it is kept as a reference only.
     """
-    return Surrogate(
-        log_density=lambda x: pc_log_density(x, param),
-        score=_rowwise(lambda x: -x),
-    )
+    return ContinuousTarget(dim=param.dims, log_density=lambda x: pc_log_density(x, param),
+                            score=_rowwise(lambda x: -x))
 
 
-def ising_surrogate(params: IsingParams, lam: Optional[float] = None) -> Surrogate:
+def ising_surrogate(params: IsingParams, lam: Optional[float] = None) -> ContinuousTarget:
     """Gaussian-form Ising surrogate obtained by dropping the sign map:
     rho(x) = exp(-x' (A + lam I) x / 2) with A the negated coupling matrix.
 
@@ -199,7 +193,7 @@ def ising_surrogate(params: IsingParams, lam: Optional[float] = None) -> Surroga
     def score(x):
         return -(x @ prec)
 
-    return Surrogate(log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=params.dims, log_density=_rowwise(logp), score=_rowwise(score))
 
 
 def sign_relaxation(t: np.ndarray) -> np.ndarray:
@@ -216,7 +210,7 @@ def smooth_relaxation_surrogate(
     target: DiscreteTarget,
     param: ContinuousParameterization,
     temperature: float = 10.0,
-) -> Surrogate:
+) -> ContinuousTarget:
     """Relax the state map inside the energy: rho(x) = p0(x) * exp(energy(sigma(tau x))).
 
     Requires the target to evaluate its energy (and gradient) at real-valued
@@ -233,7 +227,24 @@ def smooth_relaxation_surrogate(
         inner = np.asarray(target.relaxed_score(sign_relaxation(tau * x)), dtype=float)
         return -x + inner * sign_relaxation_deriv(tau * x) * tau
 
-    return Surrogate(log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=param.dims, log_density=_rowwise(logp), score=_rowwise(score))
+
+
+def resolve_surrogate(
+    mode: Union[str, ContinuousTarget],
+    target: DiscreteTarget,
+    param: ContinuousParameterization,
+    temperature: float = 10.0,
+) -> ContinuousTarget:
+    """The surrogate named by ``mode`` (``"base"`` or ``"relaxed"``), or
+    ``mode`` itself when it is already a surrogate (e.g. ``ising_surrogate``)."""
+    if isinstance(mode, ContinuousTarget):
+        return mode
+    if mode == "base":
+        return base_surrogate(param)
+    if mode == "relaxed":
+        return smooth_relaxation_surrogate(target, param, temperature)
+    raise ValueError(f"unknown surrogate mode: {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +255,7 @@ class DiscreteSampleResult:
 
 def sample_discrete(
     target: DiscreteTarget,
-    surrogate_mode: Union[str, Surrogate],
+    surrogate_mode: Union[str, ContinuousTarget],
     n: int,
     iters: int,
     kernel: KernelSpec,
@@ -255,20 +266,12 @@ def sample_discrete(
 ) -> DiscreteSampleResult:
     """Draw approximate samples from a discrete target via GF-SVGD on p_c.
 
-    ``surrogate_mode`` is ``"base"``, ``"relaxed"`` or a prebuilt Surrogate
-    (e.g. from ``ising_surrogate``).  Particles start from the standard-normal
-    base unless ``init_sampler`` overrides, and the final particles map to
-    states through the quantile bins.
+    ``surrogate_mode`` is as in ``resolve_surrogate``.  Particles start from
+    the standard-normal base unless ``init_sampler`` overrides, and the final
+    particles map to states through the quantile bins.
     """
     param = make_parameterization(target)
-    if isinstance(surrogate_mode, Surrogate):
-        surrogate = surrogate_mode
-    elif surrogate_mode == "base":
-        surrogate = base_surrogate(param)
-    elif surrogate_mode == "relaxed":
-        surrogate = smooth_relaxation_surrogate(target, param, temperature)
-    else:
-        raise ValueError(f"unknown surrogate mode: {surrogate_mode!r}")
+    surrogate = resolve_surrogate(surrogate_mode, target, param, temperature)
     if init_sampler is None:
         def init_sampler(r, m):
             return r.standard_normal((m, param.dims))

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import kernels
-from .errors import DegenerateWeightsError
-from .kernels import KernelSpec, median_bandwidth, resolve_bandwidth
+from .errors import DegenerateWeightsError, MissingScoreError
+from .kernels import KernelSpec, median_bandwidth, resolve_bandwidth  # noqa: F401  (median_bandwidth: clibench tracer)
 from .models import ContinuousTarget, _rowwise
 from .svgd import (  # noqa: F401  (apply_direction stays importable here for the clibench tracer)
     ParticleEnsemble,
@@ -27,21 +27,6 @@ from .svgd import (  # noqa: F401  (apply_direction stays importable here for th
     run_particles,
     stein_direction,
 )
-
-
-@dataclass(frozen=True)
-class Surrogate:
-    """Differentiable auxiliary density rho-bar with its score s_rho."""
-
-    log_density: Callable[[np.ndarray], np.ndarray]
-    score: Callable[[np.ndarray], np.ndarray]
-
-
-def surrogate_from_target(target: ContinuousTarget) -> Surrogate:
-    """Use the target itself as surrogate (w = 1; reduces to plain SVGD)."""
-    if target.score is None:
-        raise ValueError("target has no score to reuse as a surrogate")
-    return Surrogate(log_density=target.log_density, score=target.score)
 
 
 def effective_sample_size(log_w: np.ndarray) -> float:
@@ -128,13 +113,15 @@ def _gf_step(x, sq, target, surrogate, kernel, weight_mode, ess_floor) -> tuple[
 def gf_svgd_direction(
     particles: np.ndarray,
     target: ContinuousTarget,
-    surrogate: Surrogate,
+    surrogate: ContinuousTarget,
     kernel: KernelSpec,
     weight_mode: str = "self-normalized",
     ess_floor: float = 2.0,
 ) -> np.ndarray:
     """Gradient-free update direction: row i is
     (1/Z) sum_j w_j [ s_rho(x_j) k(x_j, x_i) + grad_{x_j} k(x_j, x_i) ]."""
+    if surrogate.score is None:
+        raise MissingScoreError("surrogate has no analytic score")
     x = np.atleast_2d(np.asarray(particles, dtype=float))
     return _gf_step(x, None, target, surrogate, kernel, weight_mode, ess_floor)[0]
 
@@ -142,8 +129,8 @@ def gf_svgd_direction(
 def kernel_curve_surrogate(
     anchor_points: np.ndarray,
     anchor_logp: np.ndarray,
-    smoothing_h: float,
-) -> Surrogate:
+    h: float,
+) -> ContinuousTarget:
     """Smooth over-dispersed fit of a density from its values at anchor points:
     rho-bar(x) = sum_j p(x_j) exp(-||x_j - x||^2 / h), assembled in log space.
 
@@ -154,12 +141,12 @@ def kernel_curve_surrogate(
     logp = np.asarray(anchor_logp, dtype=float)
     if anchors.shape[0] != logp.size:
         raise ValueError("anchor point and log-density counts differ")
-    if not smoothing_h > 0:
-        raise ValueError("smoothing_h must be > 0")
+    if not h > 0:
+        raise ValueError("smoothing bandwidth h must be > 0")
 
     def logits(x):
         # called through the module so that clibench's tracer times it as the kernels layer
-        return logp[None, :] - kernels.pairwise_sq_dists(x, anchors) / smoothing_h
+        return logp[None, :] - kernels.pairwise_sq_dists(x, anchors) / h
 
     def log_density(x):
         return logsumexp(logits(x), axis=1)
@@ -168,9 +155,9 @@ def kernel_curve_surrogate(
         lg = logits(x)
         r = np.exp(lg - logsumexp(lg, axis=1, keepdims=True))
         # sum_j r_j (x_j - x) without an (n, m, d) temporary; einsum keeps each row self-contained
-        return (2.0 / smoothing_h) * (np.einsum("nm,md->nd", r, anchors) - x * r.sum(axis=1)[:, None])
+        return (2.0 / h) * (np.einsum("nm,md->nd", r, anchors) - x * r.sum(axis=1)[:, None])
 
-    return Surrogate(log_density=_rowwise(log_density), score=_rowwise(score))
+    return ContinuousTarget(dim=anchors.shape[1], log_density=_rowwise(log_density), score=_rowwise(score))
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,7 @@ def _gf_result(ensemble, ess_history, surrogate, target) -> GFSVGDResult:
 
 def run_gf_svgd(
     target: ContinuousTarget,
-    surrogate: Surrogate,
+    surrogate: ContinuousTarget,
     n: int,
     iters: int,
     kernel: KernelSpec,
@@ -202,6 +189,8 @@ def run_gf_svgd(
 ) -> GFSVGDResult:
     """Run the gradient-free particle loop, recording the effective sample
     size of the importance weights at every iteration."""
+    if surrogate.score is None:
+        raise MissingScoreError("surrogate has no analytic score")
     ess_history = []
 
     def direction(it, x, sq):
@@ -222,7 +211,7 @@ def run_agf_svgd(
     schedule: StepSchedule,
     rng: np.random.Generator,
     p0_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    smoothing_h: Optional[float] = None,
+    smoothing: KernelSpec = KernelSpec(),
     callback: Optional[Callable[[ParticleEnsemble], None]] = None,
     ess_floor: float = 2.0,
 ) -> GFSVGDResult:
@@ -231,8 +220,8 @@ def run_agf_svgd(
     At temperature step l the surrogate is rebuilt on the fly by smoothing the
     next intermediate density's values at the current particles, so the weight
     ratio compares two nearby distributions.  One gradient-free step is taken
-    per temperature; the smoothing bandwidth defaults to the median heuristic
-    over the current particles.
+    per temperature; the smoothing bandwidth ``smoothing`` defaults to the
+    median heuristic over the current particles.
     """
     path = annealed_targets(p0, target, betas)[1:]
     ess_history = []
@@ -240,7 +229,7 @@ def run_agf_svgd(
 
     def direction(it, x, sq):
         nonlocal surrogate
-        h_s = median_bandwidth(x, sq) if smoothing_h is None else smoothing_h
+        h_s = resolve_bandwidth(smoothing, x, sq)
         surrogate = kernel_curve_surrogate(x, path[it].log_density(x), h_s)
         d, ess = _gf_step(x, sq, path[it], surrogate, kernel, "self-normalized", ess_floor)
         ess_history.append(ess)

@@ -16,18 +16,25 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .discrete import (
+from .discrete import (  # noqa: F401  (the two surrogate factories stay importable here for the clibench tracer)
     ContinuousParameterization,
     base_surrogate,
     continuize_data,
     make_parameterization,
     pc_log_density,
+    resolve_surrogate,
     smooth_relaxation_surrogate,
 )
-from .gfsvgd import Surrogate, WeightedSample
-from .kernels import median_bandwidth, pairwise_sq_dists, rbf_gram
+from .gfsvgd import WeightedSample
+from .kernels import (  # noqa: F401  (median_bandwidth stays importable here for the clibench tracer)
+    KernelSpec,
+    median_bandwidth,
+    pairwise_sq_dists,
+    rbf_gram,
+    resolve_bandwidth,
+)
 from .ksd import gf_stein_gram, u_statistic_from_gram
-from .models import DiscreteTarget
+from .models import ContinuousTarget, DiscreteTarget
 from .rngs import stream_rng
 
 
@@ -62,54 +69,28 @@ class TestReport:
         }
 
 
-def _resolve_surrogate(
-    mode: Union[str, Surrogate],
-    null_target: DiscreteTarget,
-    param: ContinuousParameterization,
-    temperature: float,
-) -> Surrogate:
-    if isinstance(mode, Surrogate):
-        return mode
-    if mode == "base":
-        return base_surrogate(param)
-    if mode == "relaxed":
-        return smooth_relaxation_surrogate(null_target, param, temperature)
-    raise ValueError(f"surrogate mode {mode!r} is not available for goodness-of-fit testing")
-
-
 def gof_gram(
     z_data: np.ndarray,
     null_target: DiscreteTarget,
     param: ContinuousParameterization,
     rng: np.random.Generator,
-    surrogate_mode: Union[str, Surrogate] = "base",
-    kernel_h: Optional[float] = None,
-    temperature: float = 10.0,
+    surrogate_mode: Union[str, ContinuousTarget] = "base",
+    kernel: KernelSpec = KernelSpec(),
 ) -> np.ndarray:
     """The n x n gradient-free Stein kernel matrix of the continuized data
     against the null's continuous parameterization (log-weights centered, so
-    the matrix carries an arbitrary positive scale)."""
+    the matrix carries an arbitrary positive scale).  ``surrogate_mode`` is as
+    in ``resolve_surrogate``; the bandwidth is ``kernel``'s over the
+    continuized points."""
     z = np.atleast_2d(np.asarray(z_data, dtype=float))
     if z.shape[0] < 2:
         raise ValueError("goodness-of-fit testing needs at least two data points")
     x = continuize_data(z, param, rng)
-    surrogate = _resolve_surrogate(surrogate_mode, null_target, param, temperature)
+    surrogate = resolve_surrogate(surrogate_mode, null_target, param)
     sq = pairwise_sq_dists(x, x)
-    h = median_bandwidth(x, sq) if kernel_h is None else float(kernel_h)
+    h = resolve_bandwidth(kernel, x, sq)
     gram = gf_stein_gram(x, surrogate, lambda pts: pc_log_density(pts, param), h, sq=sq)
     return 0.5 * (gram + gram.T)
-
-
-def gof_statistic(
-    z_data: np.ndarray,
-    null_target: DiscreteTarget,
-    param: ContinuousParameterization,
-    rng: np.random.Generator,
-    surrogate_mode: Union[str, Surrogate] = "base",
-    kernel_h: Optional[float] = None,
-) -> float:
-    """Off-diagonal U-statistic of the gradient-free Stein kernel matrix."""
-    return u_statistic_from_gram(gof_gram(z_data, null_target, param, rng, surrogate_mode, kernel_h))
 
 
 def bootstrap_null(gram: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,8 +125,8 @@ def gof_test(
     alpha: float = 0.05,
     m: int = 1000,
     seed: int = 0,
-    surrogate_mode: Union[str, Surrogate] = "base",
-    kernel_h: Optional[float] = None,
+    surrogate_mode: Union[str, ContinuousTarget] = "base",
+    kernel: KernelSpec = KernelSpec(),
     param: Optional[ContinuousParameterization] = None,
 ) -> TestReport:
     """Bootstrap goodness-of-fit test of the data against ``null_target``.
@@ -155,7 +136,7 @@ def gof_test(
     """
     if param is None:
         param = make_parameterization(null_target)
-    gram = gof_gram(z_data, null_target, param, stream_rng(seed, 0), surrogate_mode, kernel_h)
+    gram = gof_gram(z_data, null_target, param, stream_rng(seed, 0), surrogate_mode, kernel)
     statistic = u_statistic_from_gram(gram)
     replicates = bootstrap_null(gram, m, stream_rng(seed, 1))
     r = int(np.sum(replicates >= statistic))
@@ -192,22 +173,22 @@ def mmd_hamming(z_samples_1: np.ndarray, z_samples_2: np.ndarray) -> float:
     )
 
 
-def mmd_rbf(x: np.ndarray, y: np.ndarray, kernel_h: float) -> float:
+def mmd_rbf(x: np.ndarray, y: np.ndarray, h: float) -> float:
     """Biased MMD^2 between two plain samples under the RBF kernel."""
-    kxx = rbf_gram(x, x, kernel_h)
-    kyy = rbf_gram(y, y, kernel_h)
-    kxy = rbf_gram(x, y, kernel_h)
+    kxx = rbf_gram(x, x, h)
+    kyy = rbf_gram(y, y, h)
+    kxy = rbf_gram(x, y, h)
     return float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean())
 
 
-def weighted_mmd(x_weighted: WeightedSample, y_exact: np.ndarray, kernel_h: float) -> float:
+def weighted_mmd(x_weighted: WeightedSample, y_exact: np.ndarray, h: float) -> float:
     """Importance-weighted MMD^2 between a weighted sample and an exact one:
     sum_ij w-hat_i k w-hat_j - (2/M) sum w-hat_i k(x_i, y_j) + (1/M^2) sum k(y, y')."""
     w = x_weighted.normalized_weights()
     x = np.atleast_2d(x_weighted.positions)
     y = np.atleast_2d(np.asarray(y_exact, dtype=float))
-    kxx = rbf_gram(x, x, kernel_h)
-    kxy = rbf_gram(x, y, kernel_h)
-    kyy = rbf_gram(y, y, kernel_h)
+    kxx = rbf_gram(x, x, h)
+    kxy = rbf_gram(x, y, h)
+    kyy = rbf_gram(y, y, h)
     m = y.shape[0]
     return float(w @ kxx @ w - (2.0 / m) * (w @ kxy).sum() + kyy.sum() / m ** 2)

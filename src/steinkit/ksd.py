@@ -20,9 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalFailure
-from .gfsvgd import Surrogate
+from .errors import MissingScoreError, NumericalFailure
 from .kernels import pairwise_sq_dists
+from .models import ContinuousTarget
 
 
 def stein_gram(points: np.ndarray, scores: np.ndarray, h: float, sq: Optional[np.ndarray] = None) -> np.ndarray:
@@ -63,7 +63,7 @@ def stein_gram_cross(x: np.ndarray, y: np.ndarray, score_fn: Callable, h: float)
 
 def gf_stein_gram(
     points: np.ndarray,
-    surrogate: Surrogate,
+    surrogate: ContinuousTarget,
     log_p_fn: Callable,
     h: float,
     sq: Optional[np.ndarray] = None,
@@ -77,6 +77,8 @@ def gf_stein_gram(
     scale, which is what lets everything run on unnormalized densities.
     ``sq`` is as in ``stein_gram``.
     """
+    if surrogate.score is None:
+        raise MissingScoreError("surrogate has no analytic score")
     x = np.atleast_2d(np.asarray(points, dtype=float))
     kr = stein_gram(x, surrogate.score(x), h, sq)
     log_w = np.asarray(surrogate.log_density(x), dtype=float) - np.asarray(log_p_fn(x), dtype=float)

@@ -77,13 +77,11 @@ def test_criterion_2_score_correctness():
         models.random_gauss_bernoulli_rbm(rng, 4, 6)
     )
     anchors = rng.standard_normal((8, 3))
-    curve = gfsvgd.kernel_curve_surrogate(anchors, rng.standard_normal(8), 1.5)
-    cases["kernel-curve"] = models.ContinuousTarget(3, curve.log_density, curve.score)
-    ising = discrete.ising_surrogate(models.grid_ising(2, 3, 0.4))
-    cases["ising-surrogate"] = models.ContinuousTarget(6, ising.log_density, ising.score)
+    cases["kernel-curve"] = gfsvgd.kernel_curve_surrogate(anchors, rng.standard_normal(8), 1.5)
+    cases["ising-surrogate"] = discrete.ising_surrogate(models.grid_ising(2, 3, 0.4))
     rbm_t = models.bernoulli_rbm_target(models.random_bernoulli_rbm(rng, 5, 3))
-    relaxed = discrete.smooth_relaxation_surrogate(rbm_t, discrete.make_parameterization(rbm_t), 10.0)
-    cases["relaxed-rbm-surrogate"] = models.ContinuousTarget(5, relaxed.log_density, relaxed.score)
+    cases["relaxed-rbm-surrogate"] = discrete.smooth_relaxation_surrogate(
+        rbm_t, discrete.make_parameterization(rbm_t), 10.0)
 
     worst = ("", 0.0)
     for name, target in cases.items():
@@ -101,13 +99,13 @@ def test_criterion_3_reduction_identity():
     target = models.gaussian_target(np.zeros(2), 2.0)
     sampler = models.gaussian_sampler(np.zeros(2), 4.0)
     plain = svgd.run_svgd(target, 50, 200, KERN_MEDIAN, ADAM, stream_rng(1003, 0), sampler)
-    free = gfsvgd.run_gf_svgd(target, gfsvgd.surrogate_from_target(target), 50, 200,
+    free = gfsvgd.run_gf_svgd(target, target, 50, 200,
                               KERN_MEDIAN, ADAM, "self-normalized", stream_rng(1003, 0), sampler)
     ok_traj = np.array_equal(plain.positions, free.ensemble.positions)
 
     p_log = models.gaussian_logpdf(np.zeros(1), 1.0)
     scorer = models.gaussian_target(np.zeros(1), 1.0).score
-    surrogate = gfsvgd.Surrogate(p_log, scorer)
+    surrogate = models.ContinuousTarget(1, p_log, scorer)
     x = stream_rng(1003, 1).standard_normal((100, 1))
     a = ksd.gf_stein_gram(x, surrogate, p_log, 1.0)
     b = ksd.stein_gram(x, scorer(x), 1.0)
@@ -220,7 +218,6 @@ def test_criterion_9_gof_calibration_and_power():
 
 def test_criterion_10_bbis():
     target = models.gaussian_target(np.zeros(1), 1.0)
-    surrogate = gfsvgd.Surrogate(target.log_density, target.score)
 
     # simplex constraints + solver-vs-grid agreement (3-point exhaustive search)
     k3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
@@ -240,7 +237,7 @@ def test_criterion_10_bbis():
         rng = stream_rng(200, trial)
         pts = rng.normal(1.0, 1.0, size=(50, 1))
         h = kernels.median_bandwidth(pts)
-        u = ksd.bbis_weights(ksd.gf_stein_gram(pts, surrogate, target.log_density, h))
+        u = ksd.bbis_weights(ksd.gf_stein_gram(pts, target, target.log_density, h))
         wins += abs(u @ pts[:, 0]) < abs(pts[:, 0].mean())
     report(10, "bbis", ok_constraints and wins >= 90,
            f"grid err {grid_err:.2e} (<=2e-3); weighted beats uniform {wins}/100 (>=90)")

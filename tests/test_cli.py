@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from steinkit.cli import build_discrete_model, main, validate_config
-from steinkit.config_schema import CONFIG_SCHEMAS
+from steinkit.config_schema import _KERNEL, _SCHEDULE, CONFIG_SCHEMAS
+from steinkit.kernels import KernelSpec
+from steinkit.svgd import StepSchedule
 
 
 def write_config(tmp_path, name, cfg):
@@ -54,6 +57,13 @@ class TestValidation:
         for path in paths:
             sub = max((s for s in CONFIG_SCHEMAS if path.stem == s or path.stem.startswith(s + "-")), key=len)
             validate_config(sub, json.loads(path.read_text()))
+
+    def test_kernel_and_schedule_schemas_are_the_dataclass_fields(self):
+        # build_kernel and build_schedule pass these objects to the dataclasses as keywords,
+        # so the library's defaults are the CLI's
+        for schema, cls in ((_KERNEL, KernelSpec), (_SCHEDULE, StepSchedule)):
+            assert set(schema["properties"]) == {f.name for f in dataclasses.fields(cls)}
+            assert schema["additionalProperties"] is False
 
     def test_print_schema(self, capsys):
         assert run_cli(["gof", "--print-schema"]) == 0

@@ -21,6 +21,7 @@ from steinkit.discrete import (
     state_index_rows,
 )
 from steinkit.errors import InvalidLambdaError
+from steinkit.gof import gof_gram, gof_test
 from steinkit.kernels import KernelSpec
 from steinkit.models import (
     ContinuousTarget,
@@ -266,6 +267,11 @@ class TestSampleDiscrete:
 
     def test_unknown_mode_rejected(self):
         t = categorical_target([-1.0, 1.0], [0.5, 0.5])
-        for mode in ("bogus", "exact"):
-            with pytest.raises(ValueError):
+        z = np.array([[-1.0], [1.0], [1.0]])
+        for mode in ("bogus", "exact", "ising"):
+            with pytest.raises(ValueError, match="unknown surrogate mode"):
                 sample_discrete(t, mode, 10, 5, KernelSpec(), StepSchedule(), stream_rng(0, 0))
+            with pytest.raises(ValueError, match="unknown surrogate mode"):
+                gof_gram(z, t, make_parameterization(t), stream_rng(0, 1), surrogate_mode=mode)
+            with pytest.raises(ValueError, match="unknown surrogate mode"):
+                gof_test(z, t, m=10, surrogate_mode=mode)

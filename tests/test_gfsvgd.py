@@ -3,18 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinkit.errors import DegenerateWeightsError
+from steinkit.errors import DegenerateWeightsError, MissingScoreError
 from steinkit.gfsvgd import (
-    Surrogate,
     effective_sample_size,
     gf_svgd_direction,
     kernel_curve_surrogate,
     rank_normalized_weights,
     run_agf_svgd,
     run_gf_svgd,
-    surrogate_from_target,
 )
 from steinkit.kernels import KernelSpec, median_bandwidth
+from steinkit.ksd import gf_stein_gram
 from steinkit.models import (
     ContinuousTarget,
     finite_difference_score,
@@ -31,18 +30,19 @@ class TestDirectionReduction:
     def test_rho_equals_p_matches_svgd_exactly(self):
         t = gaussian_target(np.zeros(2), 2.0)
         x = stream_rng(31, 0).standard_normal((15, 2))
-        d_gf = gf_svgd_direction(x, t, surrogate_from_target(t), KERN)
+        d_gf = gf_svgd_direction(x, t, t, KERN)
         d_sv = svgd_direction(x, t, KERN)
         assert np.array_equal(d_gf, d_sv)
 
     def test_single_particle_at_mode(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        d = gf_svgd_direction(np.zeros((1, 1)), t, surrogate_from_target(t), KERN)
+        d = gf_svgd_direction(np.zeros((1, 1)), t, t, KERN)
         assert np.array_equal(d, np.zeros((1, 1)))
 
     def test_constant_surrogate_gives_inverse_probability_update(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        flat = Surrogate(
+        flat = ContinuousTarget(
+            dim=1,
             log_density=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
             score=lambda x: np.zeros_like(np.atleast_2d(x)),
         )
@@ -58,15 +58,16 @@ class TestDirectionReduction:
         t = gaussian_target(np.zeros(2), 1.0)
         rho = gaussian_target(np.zeros(2), 3.0)
         scaled_t = ContinuousTarget(dim=2, log_density=lambda x: t.log_density(x) + 11.0, score=t.score)
-        scaled_rho = Surrogate(log_density=lambda x: rho.log_density(x) - 4.0, score=rho.score)
+        scaled_rho = ContinuousTarget(dim=2, log_density=lambda x: rho.log_density(x) - 4.0, score=rho.score)
         x = stream_rng(31, 2).standard_normal((12, 2))
-        base = gf_svgd_direction(x, t, Surrogate(rho.log_density, rho.score), KERN)
+        base = gf_svgd_direction(x, t, rho, KERN)
         scaled = gf_svgd_direction(x, scaled_t, scaled_rho, KERN)
         assert np.allclose(base, scaled, atol=1e-12)
 
     def test_degenerate_weights_plain_mode(self):
         t = ContinuousTarget(dim=1, log_density=lambda x: np.full(np.atleast_2d(x).shape[0], 1000.0), score=None)
-        rho = Surrogate(
+        rho = ContinuousTarget(
+            dim=1,
             log_density=lambda x: np.full(np.atleast_2d(x).shape[0], -1000.0),
             score=lambda x: np.zeros_like(np.atleast_2d(x)),
         )
@@ -77,13 +78,35 @@ class TestDirectionReduction:
     def test_ess_threshold(self):
         # one particle dominates: ESS < 2 must raise rather than continue
         t = ContinuousTarget(dim=1, log_density=lambda x: -50.0 * np.atleast_2d(x)[:, 0], score=None)
-        rho = Surrogate(
+        rho = ContinuousTarget(
+            dim=1,
             log_density=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
             score=lambda x: np.zeros_like(np.atleast_2d(x)),
         )
         x = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(DegenerateWeightsError, match="effective sample size"):
             gf_svgd_direction(x, t, rho, KERN)
+
+
+class TestSurrogateWithoutScore:
+    # a surrogate is any ContinuousTarget, but the gradient-free update needs its score
+    SCORELESS = ContinuousTarget(dim=1, log_density=lambda x: -0.5 * np.atleast_2d(x)[:, 0] ** 2, score=None)
+
+    def test_direction_raises(self):
+        t = gaussian_target(np.zeros(1), 1.0)
+        with pytest.raises(MissingScoreError):
+            gf_svgd_direction(np.array([[0.0], [1.0]]), t, self.SCORELESS, KERN)
+
+    def test_run_raises(self):
+        t = gaussian_target(np.zeros(1), 1.0)
+        with pytest.raises(MissingScoreError):
+            run_gf_svgd(t, self.SCORELESS, 5, 2, KERN, StepSchedule(), "self-normalized",
+                        stream_rng(39, 0), gaussian_sampler(np.zeros(1), 1.0))
+
+    def test_gram_raises(self):
+        t = gaussian_target(np.zeros(1), 1.0)
+        with pytest.raises(MissingScoreError):
+            gf_stein_gram(np.array([[0.0], [1.0]]), self.SCORELESS, t.log_density, 1.0)
 
 
 class TestRankWeights:
@@ -111,24 +134,23 @@ class TestRankWeights:
 class TestKernelCurveSurrogate:
     def test_single_anchor_bump(self):
         anchor = np.array([[1.0, -1.0]])
-        s = kernel_curve_surrogate(anchor, np.array([0.5]), smoothing_h=2.0)
+        s = kernel_curve_surrogate(anchor, np.array([0.5]), h=2.0)
         assert np.allclose(s.score(anchor[0]), 0.0, atol=1e-14)
 
     def test_score_matches_finite_differences(self):
         rng = stream_rng(32, 0)
         anchors = rng.standard_normal((8, 2))
         logp = rng.standard_normal(8)
-        s = kernel_curve_surrogate(anchors, logp, smoothing_h=1.5)
-        t = ContinuousTarget(dim=2, log_density=s.log_density, score=s.score)
+        s = kernel_curve_surrogate(anchors, logp, h=1.5)
         for _ in range(20):
             x = rng.standard_normal(2)
             eps = 1e-5 * (1 + np.linalg.norm(x))
-            fd = finite_difference_score(t, x, eps)
+            fd = finite_difference_score(s, x, eps)
             assert np.linalg.norm(s.score(x) - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
     def test_symmetric_anchors_cancel_at_midpoint(self):
         anchors = np.array([[-2.0], [2.0]])
-        s = kernel_curve_surrogate(anchors, np.array([0.3, 0.3]), smoothing_h=1.0)
+        s = kernel_curve_surrogate(anchors, np.array([0.3, 0.3]), h=1.0)
         assert np.allclose(s.score(np.zeros(1)), 0.0, atol=1e-14)
 
 
@@ -153,14 +175,14 @@ class TestRuns:
         sched = StepSchedule(mode="adam", eps=0.05)
         sampler = gaussian_sampler(np.zeros(1), 4.0)
         plain = run_svgd(t, 40, 120, KernelSpec(), sched, stream_rng(34, 0), sampler)
-        gf = run_gf_svgd(t, surrogate_from_target(t), 40, 120, KernelSpec(), sched,
+        gf = run_gf_svgd(t, t, 40, 120, KernelSpec(), sched,
                          "self-normalized", stream_rng(34, 0), sampler)
         assert np.array_equal(plain.positions, gf.ensemble.positions)
         assert np.allclose(gf.ess_history, 40.0)
 
     def test_matched_gaussian_mean_recovery(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        res = run_gf_svgd(t, surrogate_from_target(t), 100, 1000, KernelSpec(),
+        res = run_gf_svgd(t, t, 100, 1000, KernelSpec(),
                           StepSchedule(mode="adam", eps=0.05), "self-normalized",
                           stream_rng(34, 1), gaussian_sampler(np.zeros(1), 4.0))
         assert abs(res.ensemble.positions.mean()) < 0.1
@@ -174,7 +196,7 @@ class TestRuns:
 
         def run_with(sigma_rho, seed):
             rho = gaussian_target(np.zeros(2), sigma_rho)
-            res = run_gf_svgd(t, Surrogate(rho.log_density, rho.score), 100, 800, KernelSpec(),
+            res = run_gf_svgd(t, rho, 100, 800, KernelSpec(),
                               StepSchedule(mode="adam", eps=0.05), "self-normalized",
                               stream_rng(seed, 2), gaussian_sampler(np.zeros(2), 2.0))
             return mmd_rbf(res.ensemble.positions, exact, h)
@@ -204,7 +226,7 @@ class TestRuns:
         rho = gaussian_target(np.zeros(2), 1.5)
         sched = StepSchedule(mode="constant", eps=0.1)
         sampler = gaussian_sampler(np.zeros(2), 2.0)
-        res = run_gf_svgd(t, Surrogate(rho.log_density, rho.score), 20, 3, KernelSpec(), sched,
+        res = run_gf_svgd(t, rho, 20, 3, KernelSpec(), sched,
                           mode, stream_rng(37, 1), sampler)
         x = sampler(stream_rng(37, 1), 20)
         ess = []
@@ -224,7 +246,7 @@ class TestRuns:
     def test_ess_recorded_each_iteration(self):
         t = gaussian_target(np.zeros(1), 1.0)
         rho = gaussian_target(np.zeros(1), 2.0)
-        res = run_gf_svgd(t, Surrogate(rho.log_density, rho.score), 30, 25, KernelSpec(),
+        res = run_gf_svgd(t, rho, 30, 25, KernelSpec(),
                           StepSchedule(mode="adam", eps=0.05), "self-normalized",
                           stream_rng(36, 0), gaussian_sampler(np.zeros(1), 2.0))
         assert res.ess_history.shape == (25,)

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from steinkit.discrete import make_parameterization
+from steinkit.discrete import continuize_data, make_parameterization
 from steinkit.gof import (
     TestReport,
     bootstrap_null,
     gof_gram,
-    gof_statistic,
     gof_test,
     mmd_hamming,
     mmd_rbf,
     weighted_mmd,
 )
+from steinkit.kernels import KernelSpec, median_bandwidth
 from steinkit.ksd import u_statistic_from_gram
 from steinkit.models import DiscreteTarget, grid_ising, ising_target, sample_discrete_target
 from steinkit.rngs import stream_rng
@@ -46,7 +46,7 @@ class TestStatistic:
         stats = []
         for r in range(200):
             z = sample_discrete_target(stream_rng(71, 1, r), 40, t)
-            stats.append(gof_statistic(z, t, param, stream_rng(71, 2, r)))
+            stats.append(u_statistic_from_gram(gof_gram(z, t, param, stream_rng(71, 2, r))))
         stats = np.array(stats)
         stderr = stats.std(ddof=1) / np.sqrt(stats.size)
         assert abs(stats.mean()) < 4 * stderr
@@ -63,6 +63,14 @@ class TestStatistic:
         direct = u_statistic_from_gram(tiled)
         expected = (4.0 * gram.sum() - 2.0 * np.trace(gram)) / (2 * n * (2 * n - 1))
         assert direct == pytest.approx(expected, rel=1e-12)
+
+    def test_fixed_bandwidth_at_the_median_is_the_median_gram(self):
+        t = ising_target(grid_ising(2, 2, 0.3))
+        param = make_parameterization(t)
+        z = sample_discrete_target(stream_rng(71, 6), 40, t)
+        h = median_bandwidth(continuize_data(z, param, stream_rng(71, 7)))
+        fixed = gof_gram(z, t, param, stream_rng(71, 7), kernel=KernelSpec(h))
+        assert np.array_equal(fixed, gof_gram(z, t, param, stream_rng(71, 7)))
 
     def test_needs_two_points(self):
         t = three_state_target()

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinkit.errors import DegenerateEnsembleError
-from steinkit.gfsvgd import Surrogate
 from steinkit.kernels import (
     KernelSpec,
     median_bandwidth,
@@ -13,6 +12,7 @@ from steinkit.kernels import (
     resolve_bandwidth,
 )
 from steinkit.ksd import gf_stein_gram, stein_gram
+from steinkit.models import ContinuousTarget
 from steinkit.svgd import stein_direction
 
 rng = np.random.default_rng(0)
@@ -182,8 +182,8 @@ class TestWeightedKernel:
     # weights exp(log rho - log p) centred on the largest
     @staticmethod
     def _weighted(pts, log_w, h):
-        surrogate = Surrogate(log_density=lambda x: np.asarray(log_w, dtype=float),
-                              score=lambda x: -np.atleast_2d(x))
+        surrogate = ContinuousTarget(dim=pts.shape[1], log_density=lambda x: np.asarray(log_w, dtype=float),
+                                     score=lambda x: -np.atleast_2d(x))
         return gf_stein_gram(pts, surrogate, lambda x: np.zeros(np.atleast_2d(x).shape[0]), h)
 
     def test_unit_weights_reduce_to_unweighted_gram(self):

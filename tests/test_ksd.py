@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinkit.errors import NumericalFailure
-from steinkit.gfsvgd import Surrogate
 from steinkit.ksd import (
     alpha_stein_gram,
     bbis_error_bound,
@@ -17,7 +16,7 @@ from steinkit.ksd import (
     u_statistic_from_gram,
     v_statistic_from_gram,
 )
-from steinkit.models import gaussian_logpdf, gaussian_target
+from steinkit.models import ContinuousTarget, gaussian_logpdf, gaussian_target
 from steinkit.rngs import stream_rng
 
 
@@ -90,7 +89,7 @@ class TestGradientFreeKernel:
     def test_reduction_at_normalized_rho(self):
         p_log = gaussian_logpdf(np.zeros(2), 1.0)
         t = gaussian_target(np.zeros(2), 1.0)
-        surrogate = Surrogate(log_density=p_log, score=t.score)
+        surrogate = ContinuousTarget(dim=2, log_density=p_log, score=t.score)
         x = stream_rng(42, 0).standard_normal((100, 2))
         gf = gf_stein_gram(x, surrogate, p_log, 1.0)
         direct = stein_gram(x, t.score(x), 1.0)
@@ -99,7 +98,8 @@ class TestGradientFreeKernel:
     def test_zero_weight_boundary(self):
         # the surrogate density vanishes at the second point only
         p_log = gaussian_logpdf(np.zeros(1), 1.0)
-        surrogate = Surrogate(
+        surrogate = ContinuousTarget(
+            dim=1,
             log_density=lambda x: np.where(np.atleast_2d(x)[:, 0] > 0.5, -np.inf, p_log(x)),
             score=lambda x: np.zeros_like(np.atleast_2d(x)),
         )
@@ -111,7 +111,7 @@ class TestGradientFreeKernel:
         rho = gaussian_target(np.zeros(2), 2.0)
         p_log = gaussian_logpdf(np.zeros(2), 1.0)
         rho_log = gaussian_logpdf(np.zeros(2), 2.0)
-        surrogate = Surrogate(log_density=rho_log, score=rho.score)
+        surrogate = ContinuousTarget(dim=2, log_density=rho_log, score=rho.score)
         h = 1.4
         x = stream_rng(42, 1).standard_normal((30, 2))
         # gf_stein_gram centres the log-weights: undo its exp(2 max log w) factor
@@ -215,9 +215,8 @@ class TestBBIS:
 
     def test_weights_from_points(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        surrogate = Surrogate(log_density=t.log_density, score=t.score)
         pts = stream_rng(45, 1).normal(1.0, 1.0, size=(40, 1))
-        u = bbis_weights(gf_stein_gram(pts, surrogate, t.log_density, 1.0))
+        u = bbis_weights(gf_stein_gram(pts, t, t.log_density, 1.0))
         assert abs(u.sum() - 1.0) <= 1e-8
         assert u.min() >= -1e-12
         # reweighted mean should move toward the target mean of 0
@@ -230,7 +229,7 @@ class TestBBISBound:
     @staticmethod
     def _gram(pts):
         t = gaussian_target(np.zeros(1), 1.0)
-        return gf_stein_gram(pts, Surrogate(log_density=t.log_density, score=t.score), t.log_density, 1.0)
+        return gf_stein_gram(pts, t, t.log_density, 1.0)
 
     def test_uniform_weights_equal_v_statistic(self):
         gram = self._gram(stream_rng(46, 0).standard_normal((15, 1)))

@@ -39,11 +39,10 @@ def gmm25_runs(gmm25):
     iters = 500
     p0 = models.gaussian_target(gmm25["mu_rho"], 4.0)
     p0_sampler = models.gaussian_sampler(gmm25["mu_rho"], 4.0)
-    rho = gfsvgd.Surrogate(p0.log_density, p0.score)
     betas = np.linspace(0.0, 1.0, iters + 1)
     # the fixed wide surrogate degenerates by design in 25 dimensions; run
     # unguarded to reproduce the plain gradient-free behavior
-    gf = gfsvgd.run_gf_svgd(gmm25["target"], rho, 200, iters, kernels.KernelSpec(), sched,
+    gf = gfsvgd.run_gf_svgd(gmm25["target"], p0, 200, iters, kernels.KernelSpec(), sched,
                             "self-normalized", stream_rng(SEED, 0), p0_sampler, ess_floor=0.0)
     agf = gfsvgd.run_agf_svgd(gmm25["target"], p0, betas, 200, kernels.KernelSpec(), sched,
                               stream_rng(SEED, 0), p0_sampler, ess_floor=0.0)
