@@ -432,17 +432,6 @@ def linear_average(local_models: Sequence[LocalModel]) -> AggregationResult:
     raise ValueError("linear averaging needs identically parameterized models")
 
 
-def exact_kl_average_gaussian(local_models: Sequence[GaussianModel]) -> GaussianModel:
-    """Exact KL-average for Gaussians sharing a known covariance: the mean of
-    the local means (moment matching of the full exponential family)."""
-    cov = local_models[0].cov
-    for m in local_models[1:]:
-        if not np.allclose(m.cov, cov):
-            raise ValueError("exact KL averaging here assumes one shared covariance")
-    mean = np.mean([m.mean for m in local_models], axis=0)
-    return GaussianModel(mean=mean, cov=cov.copy())
-
-
 # ---------------------------------------------------------------------------
 # Rate experiment (desk-scale simulation in the asymptotic-local-MLE regime)
 # ---------------------------------------------------------------------------

@@ -177,16 +177,25 @@ def build_discrete_model(spec: dict, seed: int):
     raise ConfigError(f"not a discrete model: {kind!r}")
 
 
-def _gaussian_init(spec: Optional[dict], dim: int):
+def _with_model_dim(key: str, values, dim: int) -> np.ndarray:
+    """``values`` as a float array whose last axis must be the model's
+    dimension ``dim``; a mismatch is a config error that names ``key``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape[-1] != dim:
+        raise ConfigError(f"{key}: dimension {arr.shape[-1]} does not match the model's {dim}")
+    return arr
+
+
+def _gaussian_init(spec: Optional[dict], key: str, dim: int):
     if spec is None:
         return models.gaussian_sampler(np.zeros(dim), 1.0)
-    return models.gaussian_sampler(np.asarray(spec["mu"], dtype=float), spec["sigma"])
+    return models.gaussian_sampler(_with_model_dim(f"{key}/mu", spec["mu"], dim), spec["sigma"])
 
 
 def build_surrogate(spec: Optional[dict], target: models.ContinuousTarget) -> models.ContinuousTarget:
     if spec is None or spec["type"] == "target":
         return target
-    return models.gaussian_target(np.asarray(spec["mu"], dtype=float), spec["sigma"])
+    return models.gaussian_target(_with_model_dim("surrogate/mu", spec["mu"], target.dim), spec["sigma"])
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +219,7 @@ def run_svgd_cmd(cfg, seed, outdir, threads):
     every = cfg.get("metric_every", 10)
     ensemble = svgd.run_svgd(
         target, cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel")), build_schedule(cfg.get("schedule")),
-        stream_rng(seed, STREAM_INIT), _gaussian_init(cfg.get("init"), target.dim),
+        stream_rng(seed, STREAM_INIT), _gaussian_init(cfg.get("init"), "init", target.dim),
         callback=_trace_callback(metrics, every, cfg["iters"]),
     )
     metrics.write(outdir / "metrics.csv")
@@ -229,7 +238,7 @@ def run_gfsvgd_cmd(cfg, seed, outdir, threads):
     result = gfsvgd.run_gf_svgd(
         target, surrogate, cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel")),
         build_schedule(cfg.get("schedule")), cfg.get("weight_mode", "self-normalized"),
-        stream_rng(seed, STREAM_INIT), _gaussian_init(cfg.get("init"), target.dim),
+        stream_rng(seed, STREAM_INIT), _gaussian_init(cfg.get("init"), "init", target.dim),
         callback=_trace_callback(metrics, every, cfg["iters"]),
     )
     for i in range(0, cfg["iters"], every):
@@ -244,13 +253,14 @@ def run_gfsvgd_cmd(cfg, seed, outdir, threads):
 
 def run_agf_svgd_cmd(cfg, seed, outdir, threads):
     target = build_continuous_model(cfg["model"], seed)
-    p0 = models.gaussian_target(np.asarray(cfg["p0"]["mu"], dtype=float), cfg["p0"]["sigma"])
+    mu = _with_model_dim("p0/mu", cfg["p0"]["mu"], target.dim)
+    p0 = models.gaussian_target(mu, cfg["p0"]["sigma"])
     betas = np.linspace(0.0, 1.0, cfg["n_temps"] + 1)
     metrics = MetricsWriter()
     every = cfg.get("metric_every", 10)
     result = gfsvgd.run_agf_svgd(
         target, p0, betas, cfg["n"], build_kernel(cfg.get("kernel")), build_schedule(cfg.get("schedule")),
-        stream_rng(seed, STREAM_INIT), _gaussian_init(cfg["p0"], target.dim),
+        stream_rng(seed, STREAM_INIT), models.gaussian_sampler(mu, cfg["p0"]["sigma"]),
         smoothing=kernels.KernelSpec(cfg.get("smoothing_h", kernels.MEDIAN_HEURISTIC)),
         callback=_trace_callback(metrics, every, cfg["n_temps"]),
     )
@@ -266,7 +276,7 @@ def run_agf_svgd_cmd(cfg, seed, outdir, threads):
 
 def run_steinis_cmd(cfg, seed, outdir, threads):
     target = build_continuous_model(cfg["model"], seed)
-    mu = np.asarray(cfg["q0"]["mu"], dtype=float)
+    mu = _with_model_dim("q0/mu", cfg["q0"]["mu"], target.dim)
     result = steinis.run_steinis(
         target, models.gaussian_sampler(mu, cfg["q0"]["sigma"]), models.gaussian_logpdf(mu, cfg["q0"]["sigma"]),
         cfg.get("n_leaders", 100), cfg.get("n_followers", 100), cfg["iters"],
@@ -289,7 +299,7 @@ def run_steinis_cmd(cfg, seed, outdir, threads):
 
 def run_path_logz_cmd(cfg, seed, outdir, threads):
     target = build_continuous_model(cfg["model"], seed)
-    mu = np.asarray(cfg["q0"]["mu"], dtype=float)
+    mu = _with_model_dim("q0/mu", cfg["q0"]["mu"], target.dim)
     logz = steinis.path_integration_logZ(
         target, models.gaussian_sampler(mu, cfg["q0"]["sigma"]), models.gaussian_logpdf(mu, cfg["q0"]["sigma"]),
         cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel", {"bandwidth": 1.0})),
@@ -345,6 +355,7 @@ def run_gof_cmd(cfg, seed, outdir, threads):
     else:
         data_target, _ = build_discrete_model(cfg["data"]["model"], seed)
         z = models.sample_discrete_target(stream_rng(seed, STREAM_DATA), cfg["data"]["n"], data_target)
+        z = _with_model_dim("data/model", z, target.dims)
     report = gof.gof_test(
         z, target, alpha=cfg.get("alpha", 0.05), m=cfg.get("m", 1000), seed=seed,
         surrogate_mode=_discrete_surrogate(cfg, params),
@@ -364,9 +375,9 @@ def run_bbis_cmd(cfg, seed, outdir, threads):
     surrogate = build_surrogate(cfg.get("surrogate"), target)
     pts = cfg["points"]
     if "path" in pts:
-        points = _read_csv(pts["path"])
+        points = _with_model_dim("points/path", _read_csv(pts["path"]), target.dim)
     else:
-        points = models.gaussian_sampler(np.asarray(pts["mu"], dtype=float), pts["sigma"])(
+        points = models.gaussian_sampler(_with_model_dim("points/mu", pts["mu"], target.dim), pts["sigma"])(
             stream_rng(seed, STREAM_DATA), pts["n"]
         )
     sq = kernels.pairwise_sq_dists(points, points)

@@ -26,18 +26,21 @@ _SCHEDULE = {
     },
 }
 
+_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
+_VECTOR = {"type": "array", "items": {"type": "number"}}
+# the vectors that set a continuous model's dimension or a mixture's component count are never empty
+_NONEMPTY_VECTOR = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_NONEMPTY_MATRIX = {"type": "array", "items": _NONEMPTY_VECTOR, "minItems": 1}
+
 _GAUSSIAN_SPEC = {
     "type": "object",
     "additionalProperties": False,
     "required": ["mu", "sigma"],
     "properties": {
-        "mu": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "mu": _NONEMPTY_VECTOR,
         "sigma": {"type": "number", "exclusiveMinimum": 0},
     },
 }
-
-_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-_VECTOR = {"type": "array", "items": {"type": "number"}}
 
 _CONTINUOUS_MODEL = {
     "oneOf": [
@@ -45,7 +48,7 @@ _CONTINUOUS_MODEL = {
             "type": "object",
             "additionalProperties": False,
             "required": ["type", "mu", "sigma"],
-            "properties": {"type": {"const": "gaussian"}, "mu": _VECTOR, "sigma": {"type": "number", "exclusiveMinimum": 0}},
+            "properties": {"type": {"const": "gaussian"}, "mu": _NONEMPTY_VECTOR, "sigma": {"type": "number", "exclusiveMinimum": 0}},
         },
         {
             "type": "object",
@@ -53,8 +56,8 @@ _CONTINUOUS_MODEL = {
             "required": ["type", "weights", "means", "sigma"],
             "properties": {
                 "type": {"const": "gmm"},
-                "weights": _VECTOR,
-                "means": _MATRIX,
+                "weights": _NONEMPTY_VECTOR,
+                "means": _NONEMPTY_MATRIX,
                 "sigma": {"type": "number", "exclusiveMinimum": 0},
                 "log_scale": {"type": "number"},
                 "normalized": {"type": "boolean"},
@@ -79,7 +82,7 @@ _CONTINUOUS_MODEL = {
             "type": "object",
             "additionalProperties": False,
             "required": ["type", "B", "b", "c"],
-            "properties": {"type": {"const": "gauss-bernoulli-rbm"}, "B": _MATRIX, "b": _VECTOR, "c": _VECTOR},
+            "properties": {"type": {"const": "gauss-bernoulli-rbm"}, "B": _MATRIX, "b": _NONEMPTY_VECTOR, "c": _VECTOR},
         },
         {
             "type": "object",
@@ -141,7 +144,7 @@ _SURROGATE = {
         {"type": "object", "additionalProperties": False, "required": ["type"],
          "properties": {"type": {"const": "target"}}},
         {"type": "object", "additionalProperties": False, "required": ["type", "mu", "sigma"],
-         "properties": {"type": {"const": "gaussian"}, "mu": _VECTOR,
+         "properties": {"type": {"const": "gaussian"}, "mu": _NONEMPTY_VECTOR,
                         "sigma": {"type": "number", "exclusiveMinimum": 0}}},
     ]
 }
@@ -270,7 +273,7 @@ CONFIG_SCHEMAS: dict[str, dict] = {
                     {"type": "object", "additionalProperties": False, "required": ["path"],
                      "properties": {"path": {"type": "string"}}},
                     {"type": "object", "additionalProperties": False, "required": ["mu", "sigma", "n"],
-                     "properties": {"mu": _VECTOR, "sigma": {"type": "number", "exclusiveMinimum": 0},
+                     "properties": {"mu": _NONEMPTY_VECTOR, "sigma": {"type": "number", "exclusiveMinimum": 0},
                                     "n": {"type": "integer", "minimum": 1}}},
                 ]
             },

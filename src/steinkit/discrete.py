@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import erfc, expit
+from scipy.special import expit, ndtri
 
 from .errors import InvalidLambdaError
 from .gfsvgd import GFSVGDResult, run_gf_svgd
@@ -24,72 +24,13 @@ from .kernels import KernelSpec
 from .models import ContinuousTarget, DiscreteTarget, IsingParams, _rowwise
 from .svgd import StepSchedule
 
-# Acklam's rational approximation to the normal quantile (central/tail split),
-# polished below by one Newton step against an erfc-based Phi.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_ACKLAM_SPLIT = 0.02425
-
-
-def normal_cdf(x):
-    """Phi via the complementary error function (accurate far into the tails)."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * erfc(-x / np.sqrt(2.0))
-
-
-def inverse_normal_cdf(u):
-    """Normal quantile Phi^{-1}(u) for u in (0, 1).
-
-    Rational approximation with one Newton polish step; absolute CDF error
-    |Phi(result) - u| stays below 1e-12 across u in [1e-10, 1 - 1e-10].
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(~np.isfinite(u_arr)) or np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("inverse normal cdf requires 0 < u < 1")
-    scalar = u_arr.ndim == 0
-    p = np.atleast_1d(u_arr).copy()
-    x = np.empty_like(p)
-
-    lower = p < _ACKLAM_SPLIT
-    upper = p > 1.0 - _ACKLAM_SPLIT
-    middle = ~(lower | upper)
-
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if np.any(middle):
-        q = p[middle] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[middle] = q * num / den
-    if np.any(lower):
-        q = np.sqrt(-2.0 * np.log(p[lower]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[lower] = num / den
-    if np.any(upper):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[upper]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[upper] = -num / den
-
-    # Newton step on Phi(x) - u with the exact density as derivative
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    x -= (normal_cdf(x) - p) / pdf
-    return float(x[0]) if scalar else x.reshape(u_arr.shape)
-
 
 @dataclass(frozen=True)
 class ContinuousParameterization:
     """Quantile-bin map for one discrete target.
 
     ``thresholds`` has K+1 entries, -inf and +inf padded, with interior
-    thresholds eta_i = Phi^{-1}(i/K) so every bin holds exactly 1/K of the
+    thresholds eta_i = Phi^{-1}(i/K) (``scipy.special.ndtri``) so every bin holds exactly 1/K of the
     standard-normal base mass in each coordinate.
     """
 
@@ -105,8 +46,7 @@ class ContinuousParameterization:
 
 def make_parameterization(target: DiscreteTarget) -> ContinuousParameterization:
     k = len(target.alphabet)
-    inner = inverse_normal_cdf(np.arange(1, k) / k)
-    thresholds = np.concatenate(([-np.inf], np.atleast_1d(inner), [np.inf]))
+    thresholds = np.concatenate(([-np.inf], ndtri(np.arange(1, k) / k), [np.inf]))
     return ContinuousParameterization(
         dims=target.dims,
         alphabet=tuple(float(a) for a in target.alphabet),
@@ -317,7 +257,7 @@ def continuize_data(
     idx = state_index_rows(z, param)
     k = param.n_states
     y = (idx + rng.random(size=z.shape)) / k
-    x = inverse_normal_cdf(y)
+    x = ndtri(y)
     # pin within the half-open bin against quantile round-off at the edges
     lo = param.thresholds[idx]
     hi = param.thresholds[idx + 1]

@@ -116,12 +116,6 @@ def u_statistic_from_gram(gram: np.ndarray) -> float:
     return float((gram.sum() - np.trace(gram)) / (n * (n - 1)))
 
 
-def ksd_v_statistic(points: np.ndarray, score_fn: Callable, h: float) -> float:
-    """Fast V-statistic of kappa_p over one sample (vectorized Gram assembly)."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    return v_statistic_from_gram(stein_gram(x, score_fn(x), h))
-
-
 # ---------------------------------------------------------------------------
 # Black-box importance sampling
 # ---------------------------------------------------------------------------

@@ -151,6 +151,8 @@ def gmm_target(weights: np.ndarray, means: Sequence[np.ndarray], sigma: float) -
     means = np.atleast_2d(np.asarray(means, dtype=float))
     if weights.size == 0 or means.shape[0] == 0:
         raise ValueError("mixture must have at least one component")
+    if weights.size != means.shape[0]:
+        raise ValueError(f"{weights.size} mixture weights for {means.shape[0]} component means")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be nonnegative and sum to 1")
     if not sigma > 0:

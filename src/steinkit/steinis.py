@@ -11,12 +11,10 @@ normalization constant come for free.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor
 from scipy.special import logsumexp
 
 from . import kernels
@@ -121,42 +119,22 @@ def leader_velocity_field(
     return field
 
 
-def logdet_exact(a: np.ndarray, eps: float) -> float:
-    """log |det(I + eps A)| through a pivoted LU factorization.
+def follower_log_dets(jacs: np.ndarray, eps: float, det_mode: str):
+    """Batched log |det(I + eps A_i)| over Jacobians ``jacs`` (n, d, d).
 
-    Raises SingularTransformError when a pivot falls below the floor.
+    ``"exact"`` takes the log-determinant of each matrix.  ``"first-order"``
+    takes sum_k log(1 + eps a_kk), valid when eps is below the reciprocal
+    spectral radius of A.  That is enforced conservatively through the max
+    row-sum norm, which upper-bounds the spectral radius and needs no
+    eigensolver: in this mode eps * ||A||_inf >= 1 raises
+    InvalidApproximationError.  ``"auto"`` takes the first-order form for
+    eps <= FIRST_ORDER_EPS_MAX unless a diagonal factor falls below
+    AUTO_DIAG_GUARD, and the exact form otherwise.
+
+    Returns None when the step must be rejected (``run_steinis`` then halves
+    eps): a fold, where some determinant factor is <= 0, or an exact
+    |determinant| below PIVOT_FLOOR, which counts as numerically singular.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    m = np.eye(a.shape[0]) + eps * a
-    with warnings.catch_warnings():
-        # singularity is detected below and raised as a typed error
-        warnings.simplefilter("ignore")
-        lu, _ = lu_factor(m)
-    diag = np.abs(np.diag(lu))
-    if np.min(diag) < PIVOT_FLOOR:
-        raise SingularTransformError(f"transform is numerically singular (pivot {np.min(diag):.2e})")
-    return float(np.sum(np.log(diag)))
-
-
-def logdet_firstorder(a: np.ndarray, eps: float) -> float:
-    """First-order determinant approximation sum_k log(1 + eps a_kk).
-
-    Valid when eps is below the reciprocal spectral radius of A; enforced
-    conservatively through the max row-sum norm (which upper-bounds the
-    spectral radius and needs no eigensolver).
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if eps * float(np.max(np.abs(a).sum(axis=1))) >= 1.0:
-        raise InvalidApproximationError("eps * ||A||_inf >= 1: first-order expansion invalid")
-    factors = 1.0 + eps * np.diag(a)
-    if np.any(factors <= 0.0):
-        raise InvalidApproximationError("nonpositive diagonal factor in first-order determinant")
-    return float(np.sum(np.log(factors)))
-
-
-def _follower_log_dets(jacs: np.ndarray, eps: float, det_mode: str):
-    """Batched log |det(I + eps A_i)|; returns None when the step must be
-    rejected (a fold: some determinant factor <= 0)."""
     n, d, _ = jacs.shape
     diag_factors = 1.0 + eps * jacs[:, np.arange(d), np.arange(d)]
     mode = det_mode
@@ -209,14 +187,14 @@ def run_steinis(
         field = leader_velocity_field(leaders, target, kernel)
         eps = schedule.scalar_eps(it)
         phi_f, jac_f = field(followers, with_jacobian=True)
-        log_dets = _follower_log_dets(jac_f, eps, det_mode)
+        log_dets = follower_log_dets(jac_f, eps, det_mode)
         halvings = 0
         while log_dets is None:
             halvings += 1
             if halvings > MAX_EPS_HALVINGS:
                 raise SingularTransformError(f"transform stayed non-invertible after {MAX_EPS_HALVINGS} eps halvings at iteration {it}")
             eps *= 0.5
-            log_dets = _follower_log_dets(jac_f, eps, det_mode)
+            log_dets = follower_log_dets(jac_f, eps, det_mode)
         phi_l = field(leaders)
         leaders = leaders + eps * phi_l
         followers = followers + eps * phi_f

@@ -142,8 +142,10 @@ def test_criterion_6_determinant_approximation_order():
     for _ in range(50):
         a = rng.standard_normal((4, 4))
         eps = 0.1 / float(np.max(np.abs(a).sum(axis=1)))
-        errs_full.append(abs(steinis.logdet_firstorder(a, eps) - steinis.logdet_exact(a, eps)))
-        errs_half.append(abs(steinis.logdet_firstorder(a, eps / 2) - steinis.logdet_exact(a, eps / 2)))
+        errs_full.append(abs(steinis.follower_log_dets(a[None], eps, "first-order")[0]
+                             - steinis.follower_log_dets(a[None], eps, "exact")[0]))
+        errs_half.append(abs(steinis.follower_log_dets(a[None], eps / 2, "first-order")[0]
+                             - steinis.follower_log_dets(a[None], eps / 2, "exact")[0]))
     ratio = float(np.mean(errs_full) / np.mean(errs_half))
     report(6, "determinant-order", 3.5 <= ratio <= 4.5, f"error ratio {ratio:.3f}, band [3.5, 4.5]")
 
@@ -275,7 +277,8 @@ def test_criterion_12_ksd_descent():
         def cb(ens, store=vals):
             if ens.iteration in (0, 200):
                 h = kernels.median_bandwidth(ens.positions)
-                store[ens.iteration] = ksd.ksd_v_statistic(ens.positions, target.score, h)
+                x = ens.positions
+                store[ens.iteration] = ksd.v_statistic_from_gram(ksd.stein_gram(x, target.score(x), h))
 
         svgd.run_svgd(target, 100, 200, KERN_MEDIAN, ADAM, stream_rng(1012, seed),
                       models.gaussian_sampler(np.zeros(1), 4.0), callback=cb)

@@ -74,8 +74,11 @@ class TestValidation:
 GAUSS_1D = {"type": "gaussian", "mu": [0.0], "sigma": 1.0}
 ISING_2X2 = {"type": "ising-grid", "rows": 2, "cols": 2, "theta": 0.2}
 DUPLICATE_STATES = {"type": "categorical", "states": [0.0, 1.0, 0.0], "masses": [0.2, 0.3, 0.5]}
+GAUSS_2D = {"type": "gaussian", "mu": [0.0, 0.0], "sigma": 1.0}
+SPEC_1D = {"mu": [0.0], "sigma": 1.0}
 BAD_INPUT = {
-    # name: (subcommand, config with DATA standing for the data file, data file text or None if missing)
+    # name: (subcommand, config with DATA standing for the data file, data file text or None if missing,
+    #        optionally the text that the error line must hold)
     "svgd-one-particle-median": ("svgd", {"model": GAUSS_1D, "n": 1, "iters": 2}, None),
     "bbis-points-unparsable": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}}, "0.5\nnot-a-number\n"),
     "bbis-points-missing": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}}, None),
@@ -91,12 +94,44 @@ BAD_INPUT = {
     "categorical-duplicate-states": ("discrete-sample", {"model": DUPLICATE_STATES, "n": 10, "iters": 2}, None),
     "oracle-without-model": ("oracle", {"oracle": "brute-force"}, None),
     "oracle-unread-eps": ("oracle", {"oracle": "finite-difference-score", "model": GAUSS_1D, "eps": 1e-4}, None),
+    # a spec, points or data whose dimension is not the model's
+    "svgd-init-dimension": ("svgd", {"model": GAUSS_2D, "n": 5, "iters": 2, "init": SPEC_1D}, None, "init/mu"),
+    "gfsvgd-init-dimension": ("gfsvgd", {"model": GAUSS_2D, "n": 5, "iters": 2, "init": SPEC_1D}, None, "init/mu"),
+    "gfsvgd-surrogate-dimension": ("gfsvgd", {"model": GAUSS_2D, "n": 5, "iters": 2,
+                                              "surrogate": {"type": "gaussian", **SPEC_1D}}, None, "surrogate/mu"),
+    "agf-svgd-p0-dimension": ("agf-svgd", {"model": GAUSS_2D, "p0": SPEC_1D, "n": 5, "n_temps": 2}, None, "p0/mu"),
+    "steinis-q0-dimension": ("steinis", {"model": GAUSS_2D, "q0": SPEC_1D, "iters": 2}, None, "q0/mu"),
+    "path-logz-q0-dimension": ("path-logz", {"model": GAUSS_2D, "q0": SPEC_1D, "n": 5, "iters": 2}, None, "q0/mu"),
+    "bbis-surrogate-dimension": ("bbis", {"model": GAUSS_2D, "points": {"mu": [0.0, 0.0], "sigma": 1.0, "n": 5},
+                                          "surrogate": {"type": "gaussian", **SPEC_1D}}, None, "surrogate/mu"),
+    "bbis-points-mu-dimension": ("bbis", {"model": GAUSS_2D, "points": {**SPEC_1D, "n": 5}}, None, "points/mu"),
+    "bbis-points-file-columns": ("bbis", {"model": GAUSS_1D, "points": {"path": "DATA"}},
+                                 "0.5,1.0\n-0.3,0.2\n", "points/path"),
+    "gof-data-model-dimension": ("gof", {"model": ISING_2X2, "data": {"model": {**ISING_2X2, "cols": 1}, "n": 20}},
+                                 None, "data/model"),
+    "gmm-weights-means-count": ("steinis", {"model": {"type": "gmm", "weights": [1.0], "sigma": 1.0, "normalized": True,
+                                                      "means": [[0, 0], [3, 3], [-3, 3]]},
+                                            "q0": {"mu": [0.0, 0.0], "sigma": 1.0}, "iters": 2}, None, "weights"),
+    # a zero-dimensional continuous model, surrogate or point set
+    "gaussian-mu-empty": ("svgd", {"model": {**GAUSS_1D, "mu": []}, "n": 5, "iters": 2}, None, "model/mu"),
+    "gmm-means-empty": ("svgd", {"model": {"type": "gmm", "weights": [1.0], "means": [], "sigma": 1.0},
+                                 "n": 5, "iters": 2}, None, "model/means:"),
+    "gmm-mean-row-empty": ("svgd", {"model": {"type": "gmm", "weights": [1.0], "means": [[]], "sigma": 1.0},
+                                    "n": 5, "iters": 2}, None, "model/means/0"),
+    "gmm-weights-empty": ("svgd", {"model": {"type": "gmm", "weights": [], "means": [[0.0]], "sigma": 1.0},
+                                   "n": 5, "iters": 2}, None, "model:"),
+    "gauss-bernoulli-rbm-b-empty": ("svgd", {"model": {"type": "gauss-bernoulli-rbm", "B": [], "b": [], "c": []},
+                                             "n": 5, "iters": 2}, None, "model/b"),
+    "surrogate-mu-empty": ("gfsvgd", {"model": GAUSS_1D, "n": 5, "iters": 2,
+                                      "surrogate": {"type": "gaussian", "mu": [], "sigma": 1.0}}, None, "surrogate/mu"),
+    "bbis-points-mu-empty": ("bbis", {"model": GAUSS_1D, "points": {"mu": [], "sigma": 1.0, "n": 5}}, None,
+                             "points/mu"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUT))
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, name):
-    subcommand, cfg, data = BAD_INPUT[name]
+    subcommand, cfg, data, *names = BAD_INPUT[name]
     data_path = tmp_path / "data.csv"
     if data is not None:
         data_path.write_text(data)
@@ -105,6 +140,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: config:")
+    assert all(key in err[0] for key in names), err[0]
 
 
 def test_categorical_states_keep_their_own_masses():
@@ -267,7 +303,8 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
     def test_cli_import_leaves_aggregation_unloaded(self):
-        # aggregation pulls in scipy.stats and scipy.optimize; only `aggregate` needs them
-        code = "import sys, steinkit.cli; print('steinkit.aggregation' in sys.modules)"
+        # aggregation pulls in scipy.stats and scipy.optimize and only `aggregate` needs them;
+        # no subcommand needs scipy.linalg
+        code = "import sys, steinkit.cli; print([m in sys.modules for m in ('steinkit.aggregation', 'scipy.linalg')])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+        assert proc.returncode == 0 and proc.stdout.strip() == "[False, False]"

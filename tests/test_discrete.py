@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import kstest
 
 from steinkit.discrete import (
     bin_indices,
     continuize_data,
     gamma_map,
-    inverse_normal_cdf,
     ising_surrogate,
     make_parameterization,
-    normal_cdf,
     pc_log_density,
     sample_discrete,
     sign_relaxation,
@@ -68,8 +67,11 @@ def phi_series(x: float) -> float:
 
 
 class TestInverseNormalCdf:
+    # the thresholds eta_i = Phi^-1(i/K) of make_parameterization
     def test_median_is_zero(self):
-        assert inverse_normal_cdf(0.5) == pytest.approx(0.0, abs=1e-15)
+        # every Ising and RBM run bins by these bits
+        param = make_parameterization(ising_target(IsingParams(dims=1, edges=())))
+        assert param.thresholds.tolist() == [-np.inf, 0.0, np.inf]
 
     def test_quartile_against_bisection_oracle(self):
         # bisection on a series-based Phi, fully independent of the implementation
@@ -81,25 +83,10 @@ class TestInverseNormalCdf:
             else:
                 hi = mid
         oracle = 0.5 * (lo + hi)
-        assert inverse_normal_cdf(0.25) == pytest.approx(oracle, abs=1e-12)
-        assert inverse_normal_cdf(0.25) == pytest.approx(-0.674490, abs=1e-6)
-
-    def test_symmetry(self):
-        for u in (0.01, 0.1, 0.3, 0.45):
-            assert inverse_normal_cdf(1 - u) == pytest.approx(-inverse_normal_cdf(u), abs=1e-12)
-
-    def test_roundtrip_accuracy(self):
-        us = np.concatenate([
-            np.array([1e-10, 1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 1e-10]),
-            np.linspace(0.001, 0.999, 499),
-        ])
-        x = inverse_normal_cdf(us)
-        assert np.max(np.abs(normal_cdf(x) - us)) < 1e-12
-
-    def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.5, 1.5, np.nan):
-            with pytest.raises(ValueError):
-                inverse_normal_cdf(bad)
+        eta = make_parameterization(categorical_target([0.0, 1.0, 2.0, 3.0], [0.25] * 4)).thresholds
+        assert eta[1] == pytest.approx(oracle, abs=1e-12)
+        assert eta[1] == pytest.approx(-0.674490, abs=1e-6)
+        assert eta[2] == 0.0
 
 
 class TestGammaMap:
@@ -119,7 +106,7 @@ class TestGammaMap:
     def test_even_partition_analytic(self):
         t = categorical_target([0.0, 1.0, 2.0, 3.0, 4.0], [0.2] * 5)
         param = make_parameterization(t)
-        cdf_at = normal_cdf(param.thresholds[1:-1])
+        cdf_at = ndtr(param.thresholds[1:-1])
         assert np.max(np.abs(cdf_at - np.array([0.2, 0.4, 0.6, 0.8]))) < 1e-9
 
     def test_even_partition_monte_carlo(self):

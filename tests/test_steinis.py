@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from steinkit import kernels
+from steinkit import kernels, steinis
 from steinkit.errors import DivergenceError, InvalidApproximationError, SingularTransformError
 from steinkit.kernels import KernelSpec
 from steinkit.models import ContinuousTarget, gaussian_logpdf, gaussian_sampler, gaussian_target, gmm_target
 from steinkit.rngs import stream_rng
 from steinkit.steinis import (
     WeightedSample,
-    _follower_log_dets,
+    follower_log_dets,
     leader_velocity_field,
-    logdet_exact,
-    logdet_firstorder,
     path_integration_logZ,
     run_steinis,
     self_normalized_expectation,
@@ -124,34 +122,48 @@ class TestVelocityField:
         assert np.allclose(j1, j2, atol=1e-12)
 
 
+def _exact(a, eps):
+    return follower_log_dets(a[None], eps, "exact")[0]
+
+
+def _first_order(a, eps):
+    return follower_log_dets(a[None], eps, "first-order")[0]
+
+
 class TestLogDet:
     def test_zero_matrix(self):
-        assert logdet_exact(np.zeros((3, 3)), 0.2) == 0.0
+        assert _exact(np.zeros((3, 3)), 0.2) == 0.0
 
     def test_diagonal_example(self):
-        val = logdet_exact(np.diag([2.0, 3.0]), 0.1)
+        val = _exact(np.diag([2.0, 3.0]), 0.1)
         assert val == pytest.approx(np.log(1.2 * 1.3), rel=1e-12)
 
     def test_against_cofactor_oracle(self):
         rng = stream_rng(52, 0)
         for _ in range(10):
             a = rng.standard_normal((5, 5))
-            exact = logdet_exact(a, 0.05)
+            exact = _exact(a, 0.05)
             oracle = np.log(abs(det_cofactor(np.eye(5) + 0.05 * a)))
             assert exact == pytest.approx(oracle, abs=1e-10)
 
-    def test_singular_raises(self):
+    def test_singular_raises(self, monkeypatch):
+        # the fold -I at eps = 1 is rejected, so run_steinis halves eps; a
+        # transform still rejected after every halving raises
+        assert follower_log_dets(-np.eye(2)[None], 1.0, "exact") is None
+        monkeypatch.setattr(steinis, "follower_log_dets", lambda jacs, eps, det_mode: None)
         with pytest.raises(SingularTransformError):
-            logdet_exact(-np.eye(2), 1.0)
+            run_steinis(gaussian_target(np.zeros(1), 1.0), gaussian_sampler(np.zeros(1), 1.0),
+                        gaussian_logpdf(np.zeros(1), 1.0), 5, 5, 2, KERN,
+                        StepSchedule(mode="constant", eps=0.1), stream_rng(0, 0))
 
     def test_first_order_exact_on_diagonal(self):
         a = np.diag([1.0, -2.0, 0.5])
-        assert logdet_firstorder(a, 0.1) == pytest.approx(logdet_exact(a, 0.1), rel=1e-12)
+        assert _first_order(a, 0.1) == pytest.approx(_exact(a, 0.1), rel=1e-12)
 
     def test_first_order_2x2_analytic(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert logdet_firstorder(a, 0.1) == 0.0
-        assert logdet_exact(a, 0.1) == pytest.approx(np.log(1 - 0.01), rel=1e-12)
+        assert _first_order(a, 0.1) == 0.0
+        assert _exact(a, 0.1) == pytest.approx(np.log(1 - 0.01), rel=1e-12)
 
     def test_richardson_error_ratio(self):
         # first-order error shrinks ~4x when eps halves
@@ -160,25 +172,25 @@ class TestLogDet:
         for _ in range(50):
             a = rng.standard_normal((4, 4))
             eps = 0.1 / np.max(np.abs(a).sum(axis=1))
-            errs_full.append(abs(logdet_firstorder(a, eps) - logdet_exact(a, eps)))
-            errs_half.append(abs(logdet_firstorder(a, eps / 2) - logdet_exact(a, eps / 2)))
+            errs_full.append(abs(_first_order(a, eps) - _exact(a, eps)))
+            errs_half.append(abs(_first_order(a, eps / 2) - _exact(a, eps / 2)))
         ratio = np.mean(errs_full) / np.mean(errs_half)
         assert 3.5 <= ratio <= 4.5
 
     def test_first_order_preconditions(self):
         a = np.full((2, 2), 10.0)
         with pytest.raises(InvalidApproximationError):
-            logdet_firstorder(a, 0.2)
+            _first_order(a, 0.2)
         b = np.diag([-20.0, 0.0])
         with pytest.raises(InvalidApproximationError):
-            logdet_firstorder(b, 0.1)
+            _first_order(b, 0.1)
 
     def test_auto_mode_diagonal_guard(self):
         # eps <= 0.1 would select first-order, but a diagonal factor below 0.5
         # must force the exact path (visible through the off-diagonal terms)
         jac = np.array([[-6.0, 3.0], [2.0, 0.0]])[None, :, :]
         eps = 0.1
-        out = _follower_log_dets(jac, eps, "auto")
+        out = follower_log_dets(jac, eps, "auto")
         exact = np.linalg.slogdet(np.eye(2) + eps * jac[0])[1]
         first = np.log1p(eps * np.diag(jac[0])).sum()
         assert out[0] == pytest.approx(exact, rel=1e-12)
@@ -186,14 +198,14 @@ class TestLogDet:
 
     def test_auto_mode_uses_first_order_when_safe(self):
         jac = np.array([[0.5, 0.3], [0.2, -0.4]])[None, :, :]
-        out = _follower_log_dets(jac, 0.05, "auto")
+        out = follower_log_dets(jac, 0.05, "auto")
         first = np.log1p(0.05 * np.diag(jac[0])).sum()
         assert out[0] == pytest.approx(first, rel=1e-12)
 
     def test_fold_returns_none(self):
         jac = np.array([[[-1.0]]])
-        assert _follower_log_dets(jac, 2.0, "exact") is None
-        assert _follower_log_dets(jac, 2.0, "auto") is None
+        assert follower_log_dets(jac, 2.0, "exact") is None
+        assert follower_log_dets(jac, 2.0, "auto") is None
 
 
 def _fixed_sampler(*arrays):

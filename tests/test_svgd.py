@@ -3,7 +3,7 @@ import pytest
 
 from steinkit.errors import DivergenceError, MissingScoreError
 from steinkit.kernels import KernelSpec, median_bandwidth
-from steinkit.ksd import ksd_v_statistic
+from steinkit.ksd import stein_gram, v_statistic_from_gram
 from steinkit.models import ContinuousTarget, gaussian_sampler, gaussian_target, gmm_target, sample_gmm
 from steinkit.rngs import stream_rng
 from steinkit.svgd import (
@@ -211,7 +211,8 @@ class TestAnnealedRun:
             def cb(ens, store=vals):
                 if ens.iteration in (0, 200):
                     h = median_bandwidth(ens.positions)
-                    store[ens.iteration] = ksd_v_statistic(ens.positions, t.score, h)
+                    x = ens.positions
+                    store[ens.iteration] = v_statistic_from_gram(stein_gram(x, t.score(x), h))
 
             run_svgd(t, 100, 200, KernelSpec(), StepSchedule(mode="adam", eps=0.05),
                      stream_rng(29, seed), gaussian_sampler(np.zeros(1), 4.0), callback=cb)
