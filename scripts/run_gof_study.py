@@ -8,8 +8,6 @@ coupling value.
 import argparse
 from pathlib import Path
 
-
-from steinkit.discrete import make_parameterization
 from steinkit.gof import gof_test
 from steinkit.models import grid_ising, ising_target, sample_discrete_target
 from steinkit.rngs import stream_rng
@@ -26,7 +24,6 @@ def main():
     args = ap.parse_args()
 
     null = ising_target(grid_ising(3, 3, args.theta_null))
-    param = make_parameterization(null)
     rows = ["theta_data,n,reps,rejection_rate"]
     for theta in args.thetas:
         data_target = ising_target(grid_ising(3, 3, theta))
@@ -34,7 +31,7 @@ def main():
         for r in range(args.reps):
             z = sample_discrete_target(stream_rng(args.seed, int(theta * 1000), r), args.n, data_target)
             report = gof_test(z, null, alpha=0.05, m=1000,
-                              seed=args.seed * 1_000_000 + int(theta * 1000) * 1000 + r, param=param)
+                              seed=args.seed * 1_000_000 + int(theta * 1000) * 1000 + r)
             hits += report.reject
         rate = hits / args.reps
         rows.append(f"{theta!r},{args.n},{args.reps},{rate!r}")

@@ -323,7 +323,7 @@ def _bootstrap_fits(
     refits run before the pooled fits because GMM EM seeds its init from rng.
     """
     if "kl-control" in methods and not all(isinstance(m, GaussianModel) for m in models):
-        raise ValueError("kl_control supports the Gaussian family only; match and convert GMMs first")
+        raise ValueError("kl-control supports the Gaussian family only; match and convert GMMs first")
     mean_only = cov is not None
     pooled = np.vstack(boots)
     fits = {}
@@ -346,36 +346,27 @@ def _bootstrap_fits(
     return {method: fit for method, fit in fits.items() if method in methods}
 
 
-def _kl_average(method: str, local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
+def kl_average(method: str, local_models: Sequence[LocalModel], n_bootstrap: int,
+               rng: np.random.Generator) -> AggregationResult:
+    """KL-averaging of the local models from ``n_bootstrap`` parametric-bootstrap
+    draws per machine, by one of three estimators (``method``):
+
+    - ``"kl-naive"``: the pooled MLE over the draws from every local model.
+    - ``"kl-control"``: a linear control-variates correction of the naive
+      estimator.  Implemented for the Gaussian family, whose parameters are
+      additive; GMM inputs must be component-matched and are not supported.
+    - ``"kl-weighted"``: a weighted pooled refit, in which each bootstrap point
+      carries the density ratio p(x | theta-hat_k) / p(x | theta-tilde_k) as a
+      multiplicative weight.  With theta-tilde = theta-hat the ratios are
+      identically 1 and the estimator reduces to the naive one exactly.
+    """
+    if method not in ("kl-naive", "kl-control", "kl-weighted"):
+        raise ValueError(f"unknown KL-averaging method: {method!r}")
     if n_bootstrap < 1:
         raise ValueError("need at least one bootstrap draw per machine")
     boots = _draw_bootstrap(local_models, n_bootstrap, rng)
     model = _bootstrap_fits(local_models, boots, rng, (method,))[method]
     return AggregationResult(method, model, {"n_bootstrap": n_bootstrap, "machines": len(local_models)})
-
-
-def kl_naive(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
-    """Pooled MLE over n parametric-bootstrap draws from every local model."""
-    return _kl_average("kl-naive", local_models, n_bootstrap, rng)
-
-
-def kl_control(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
-    """Linear control-variates correction of the naive estimator.
-
-    Implemented for the Gaussian family, whose parameters are additive; GMM
-    inputs must be component-matched and are not supported here.
-    """
-    return _kl_average("kl-control", local_models, n_bootstrap, rng)
-
-
-def kl_weighted(local_models: Sequence[LocalModel], n_bootstrap: int, rng: np.random.Generator) -> AggregationResult:
-    """Weighted pooled refit: each bootstrap point carries the density ratio
-    p(x | theta-hat_k) / p(x | theta-tilde_k) as a multiplicative weight.
-
-    With theta-tilde = theta-hat the ratios are identically 1 and the
-    estimator reduces to the naive one exactly.
-    """
-    return _kl_average("kl-weighted", local_models, n_bootstrap, rng)
 
 
 def symmetric_kl_gaussians(m1: np.ndarray, c1: np.ndarray, m2: np.ndarray, c2: np.ndarray) -> float:
@@ -490,6 +481,9 @@ def gaussian_rate_experiment(
     shows already at small n, because no covariance block amplifies the
     ratio-weight variance.
     """
+    if not known_covariance and int(big_n / n_machines) <= dim:
+        raise ValueError(f"big_n: {big_n:g} / {n_machines} machines leaves {int(big_n / n_machines)} points per "
+                         f"machine; the Wishart draw of a local covariance in dimension {dim} needs more")
     rows = []
     for trial in (range(n_trials) if trial_indices is None else trial_indices):
         models = _draw_asymptotic_local_models(

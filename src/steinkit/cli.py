@@ -213,7 +213,7 @@ def _trace_callback(metrics: MetricsWriter, every: int, total: int):
     return cb
 
 
-def run_svgd_cmd(cfg, seed, outdir, threads):
+def run_svgd_cmd(cfg, seed, outdir):
     target = build_continuous_model(cfg["model"], seed)
     metrics = MetricsWriter()
     every = cfg.get("metric_every", 10)
@@ -230,7 +230,7 @@ def run_svgd_cmd(cfg, seed, outdir, threads):
             "iterations": ensemble.iteration}
 
 
-def run_gfsvgd_cmd(cfg, seed, outdir, threads):
+def run_gfsvgd_cmd(cfg, seed, outdir):
     target = build_continuous_model(cfg["model"], seed)
     surrogate = build_surrogate(cfg.get("surrogate"), target)
     metrics = MetricsWriter()
@@ -251,7 +251,7 @@ def run_gfsvgd_cmd(cfg, seed, outdir, threads):
             "final_ess": result.final_weights.ess, "iterations": result.ensemble.iteration}
 
 
-def run_agf_svgd_cmd(cfg, seed, outdir, threads):
+def run_agf_svgd_cmd(cfg, seed, outdir):
     target = build_continuous_model(cfg["model"], seed)
     mu = _with_model_dim("p0/mu", cfg["p0"]["mu"], target.dim)
     p0 = models.gaussian_target(mu, cfg["p0"]["sigma"])
@@ -274,7 +274,7 @@ def run_agf_svgd_cmd(cfg, seed, outdir, threads):
             "temperatures": cfg["n_temps"]}
 
 
-def run_steinis_cmd(cfg, seed, outdir, threads):
+def run_steinis_cmd(cfg, seed, outdir):
     target = build_continuous_model(cfg["model"], seed)
     mu = _with_model_dim("q0/mu", cfg["q0"]["mu"], target.dim)
     result = steinis.run_steinis(
@@ -297,7 +297,7 @@ def run_steinis_cmd(cfg, seed, outdir, threads):
             "self_normalized_mean": np.atleast_1d(mean_est).tolist()}
 
 
-def run_path_logz_cmd(cfg, seed, outdir, threads):
+def run_path_logz_cmd(cfg, seed, outdir):
     target = build_continuous_model(cfg["model"], seed)
     mu = _with_model_dim("q0/mu", cfg["q0"]["mu"], target.dim)
     logz = steinis.path_integration_logZ(
@@ -323,9 +323,8 @@ def _discrete_surrogate(cfg, ising_params):
     return mode
 
 
-def run_discrete_sample_cmd(cfg, seed, outdir, threads):
+def run_discrete_sample_cmd(cfg, seed, outdir):
     target, params = build_discrete_model(cfg["model"], seed)
-    param = discrete.make_parameterization(target)
     surrogate = _discrete_surrogate(cfg, params)
     result = discrete.sample_discrete(
         target, surrogate, cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel")),
@@ -337,21 +336,20 @@ def run_discrete_sample_cmd(cfg, seed, outdir, threads):
         if i % 10 == 0:
             metrics.add(i, "ess", float(ess))
     metrics.write(outdir / "metrics.csv")
-    _write_samples(outdir / "samples.csv", discrete.state_index_rows(result.states, param), integer=True)
+    _write_samples(outdir / "samples.csv", discrete.state_index_rows(result.states, target), integer=True)
     site_means = result.states.mean(axis=0)
     return {"site_means": np.atleast_1d(site_means).tolist(), "n_samples": int(result.states.shape[0])}
 
 
-def run_gof_cmd(cfg, seed, outdir, threads):
+def run_gof_cmd(cfg, seed, outdir):
     target, params = build_discrete_model(cfg["model"], seed)
-    param = discrete.make_parameterization(target)
     if "path" in cfg["data"]:
         path = cfg["data"]["path"]
         idx = _read_csv(path, dtype=int)
-        if idx.shape[1] != target.dims or np.any((idx < 0) | (idx >= param.n_states)):
-            raise ConfigError(f"data file {path}: each row must hold {target.dims} state indices "
-                              f"in [0, {param.n_states})")
-        z = np.asarray(param.alphabet)[idx]
+        k = len(target.alphabet)
+        if idx.shape[1] != target.dims or np.any((idx < 0) | (idx >= k)):
+            raise ConfigError(f"data file {path}: each row must hold {target.dims} state indices in [0, {k})")
+        z = np.asarray(target.alphabet, dtype=float)[idx]
     else:
         data_target, _ = build_discrete_model(cfg["data"]["model"], seed)
         z = models.sample_discrete_target(stream_rng(seed, STREAM_DATA), cfg["data"]["n"], data_target)
@@ -359,7 +357,7 @@ def run_gof_cmd(cfg, seed, outdir, threads):
     report = gof.gof_test(
         z, target, alpha=cfg.get("alpha", 0.05), m=cfg.get("m", 1000), seed=seed,
         surrogate_mode=_discrete_surrogate(cfg, params),
-        kernel=kernels.KernelSpec(cfg.get("kernel_h", kernels.MEDIAN_HEURISTIC)), param=param,
+        kernel=kernels.KernelSpec(cfg.get("kernel_h", kernels.MEDIAN_HEURISTIC)),
     )
     metrics = MetricsWriter()
     metrics.add(0, "statistic", report.statistic)
@@ -370,7 +368,7 @@ def run_gof_cmd(cfg, seed, outdir, threads):
     return {"report": report.to_dict()}
 
 
-def run_bbis_cmd(cfg, seed, outdir, threads):
+def run_bbis_cmd(cfg, seed, outdir):
     target = build_continuous_model(cfg["model"], seed)
     surrogate = build_surrogate(cfg.get("surrogate"), target)
     pts = cfg["points"]
@@ -395,7 +393,7 @@ def run_bbis_cmd(cfg, seed, outdir, threads):
             "uniform_mean": points.mean(axis=0).tolist()}
 
 
-def run_aggregate_cmd(cfg, seed, outdir, threads):
+def run_aggregate_cmd(cfg, seed, outdir, threads=1):
     from . import aggregation  # scipy.stats and scipy.optimize: imported only by this subcommand
 
     methods = tuple(cfg.get("methods", ["kl-naive", "kl-control", "kl-weighted"]))
@@ -431,7 +429,7 @@ def run_aggregate_cmd(cfg, seed, outdir, threads):
     return {"methods": summary}
 
 
-def run_oracle_cmd(cfg, seed, outdir, threads):
+def run_oracle_cmd(cfg, seed, outdir):
     metrics = MetricsWriter()
     if cfg["oracle"] == "brute-force":
         target, _ = build_discrete_model(cfg["model"], seed)
@@ -478,7 +476,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides the config's)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
+    parser.add_argument("--threads", type=int, default=1, help="trial-level parallelism (aggregate only)")
     parser.add_argument("--print-schema", action="store_true", help="print the subcommand's config schema and exit")
     args = parser.parse_args(argv)
 
@@ -488,6 +486,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        if args.threads > 1 and args.subcommand != "aggregate":
+            raise ConfigError(f"--threads {args.threads}: only aggregate runs trials in parallel")
         if args.config is None:
             raise ConfigError("--config is required")
         try:
@@ -498,7 +500,10 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else config.get("seed", 0)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        results = RUNNERS[args.subcommand](config, seed, outdir, max(1, args.threads))
+        if args.subcommand == "aggregate":
+            results = run_aggregate_cmd(config, seed, outdir, args.threads)
+        else:
+            results = RUNNERS[args.subcommand](config, seed, outdir)
     except ValueError as exc:  # ConfigError and every other bad-input error
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -287,7 +287,7 @@ CONFIG_SCHEMAS: dict[str, dict] = {
         {
             "dim": {"type": "integer", "minimum": 1},
             "machines": {"type": "integer", "minimum": 1},
-            "n_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
+            "n_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1, "uniqueItems": True},
             "trials": {"type": "integer", "minimum": 1},
             "methods": {
                 "type": "array",

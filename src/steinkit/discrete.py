@@ -12,6 +12,7 @@ choice is measure-zero but fixed so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -25,49 +26,29 @@ from .models import ContinuousTarget, DiscreteTarget, IsingParams, _rowwise
 from .svgd import StepSchedule
 
 
-@dataclass(frozen=True)
-class ContinuousParameterization:
-    """Quantile-bin map for one discrete target.
-
-    ``thresholds`` has K+1 entries, -inf and +inf padded, with interior
-    thresholds eta_i = Phi^{-1}(i/K) (``scipy.special.ndtri``) so every bin holds exactly 1/K of the
-    standard-normal base mass in each coordinate.
-    """
-
-    dims: int
-    alphabet: tuple[float, ...]
-    thresholds: np.ndarray
-    log_star_mass: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def n_states(self) -> int:
-        return len(self.alphabet)
+@functools.lru_cache(maxsize=None)
+def bin_thresholds(k: int) -> np.ndarray:
+    """The K+1 bin edges, -inf and +inf padded, with interior edges
+    eta_i = Phi^{-1}(i/K) (``scipy.special.ndtri``) so every bin holds exactly
+    1/K of the standard-normal base mass in each coordinate (read-only)."""
+    edges = np.concatenate(([-np.inf], ndtri(np.arange(1, k) / k), [np.inf]))
+    edges.flags.writeable = False
+    return edges
 
 
-def make_parameterization(target: DiscreteTarget) -> ContinuousParameterization:
-    k = len(target.alphabet)
-    thresholds = np.concatenate(([-np.inf], ndtri(np.arange(1, k) / k), [np.inf]))
-    return ContinuousParameterization(
-        dims=target.dims,
-        alphabet=tuple(float(a) for a in target.alphabet),
-        thresholds=thresholds,
-        log_star_mass=target.log_mass,
-    )
-
-
-def bin_indices(x: np.ndarray, param: ContinuousParameterization) -> np.ndarray:
+def bin_indices(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
     """Bin index of every coordinate; boundary values go to the upper bin."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("gamma map requires finite inputs")
-    inner = param.thresholds[1:-1]
+    inner = bin_thresholds(len(target.alphabet))[1:-1]
     return np.searchsorted(inner, x, side="right")
 
 
-def gamma_map(x: np.ndarray, param: ContinuousParameterization) -> np.ndarray:
+def gamma_map(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
     """Map continuous points to states: coordinate j lands in the bin holding it."""
-    alpha = np.asarray(param.alphabet)
-    return alpha[bin_indices(x, param)]
+    alpha = np.asarray(target.alphabet, dtype=float)
+    return alpha[bin_indices(x, target)]
 
 
 def _log_p0(x: np.ndarray) -> np.ndarray:
@@ -75,26 +56,26 @@ def _log_p0(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("nd,nd->n", x, x)
 
 
-def pc_log_density(x: np.ndarray, param: ContinuousParameterization) -> np.ndarray:
+def pc_log_density(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
     """log p_c-bar(x) = log p0(x) + log p-star-bar(Gamma(x))."""
 
     def batch(xb):
-        return _log_p0(xb) + np.asarray(param.log_star_mass(gamma_map(xb, param)), dtype=float)
+        return _log_p0(xb) + np.asarray(target.log_mass(gamma_map(xb, target)), dtype=float)
 
     return _rowwise(batch)(x)
 
 
-def pc_target(param: ContinuousParameterization) -> ContinuousTarget:
+def pc_target(target: DiscreteTarget) -> ContinuousTarget:
     """The piecewise continuous target (no score: it is not differentiable)."""
-    return ContinuousTarget(dim=param.dims, log_density=lambda x: pc_log_density(x, param), score=None)
+    return ContinuousTarget(dim=target.dims, log_density=lambda x: pc_log_density(x, target), score=None)
 
 
-def base_surrogate(param: ContinuousParameterization) -> ContinuousTarget:
+def base_surrogate(target: DiscreteTarget) -> ContinuousTarget:
     """The base distribution itself as surrogate: rho = p0, score -x."""
-    return ContinuousTarget(dim=param.dims, log_density=_rowwise(_log_p0), score=_rowwise(lambda x: -x))
+    return ContinuousTarget(dim=target.dims, log_density=_rowwise(_log_p0), score=_rowwise(lambda x: -x))
 
 
-def exact_pc_surrogate(param: ContinuousParameterization) -> ContinuousTarget:
+def exact_pc_surrogate(target: DiscreteTarget) -> ContinuousTarget:
     """p_c as log density, paired with its almost-everywhere score -x.
 
     Not a valid sampling surrogate: -x ignores the jumps of p_c between bins,
@@ -103,7 +84,7 @@ def exact_pc_surrogate(param: ContinuousParameterization) -> ContinuousTarget:
     N(0, I) base, which maps to the uniform law over states whatever the
     target.  No surrogate mode selects it; it is kept as a reference only.
     """
-    return ContinuousTarget(dim=param.dims, log_density=lambda x: pc_log_density(x, param),
+    return ContinuousTarget(dim=target.dims, log_density=lambda x: pc_log_density(x, target),
                             score=_rowwise(lambda x: -x))
 
 
@@ -146,11 +127,7 @@ def sign_relaxation_deriv(t: np.ndarray) -> np.ndarray:
     return 2.0 * expit(t) * expit(-t)
 
 
-def smooth_relaxation_surrogate(
-    target: DiscreteTarget,
-    param: ContinuousParameterization,
-    temperature: float = 10.0,
-) -> ContinuousTarget:
+def smooth_relaxation_surrogate(target: DiscreteTarget, temperature: float = 10.0) -> ContinuousTarget:
     """Relax the state map inside the energy: rho(x) = p0(x) * exp(energy(sigma(tau x))).
 
     Requires the target to evaluate its energy (and gradient) at real-valued
@@ -167,13 +144,12 @@ def smooth_relaxation_surrogate(
         inner = np.asarray(target.relaxed_score(sign_relaxation(tau * x)), dtype=float)
         return -x + inner * sign_relaxation_deriv(tau * x) * tau
 
-    return ContinuousTarget(dim=param.dims, log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=target.dims, log_density=_rowwise(logp), score=_rowwise(score))
 
 
 def resolve_surrogate(
     mode: Union[str, ContinuousTarget],
     target: DiscreteTarget,
-    param: ContinuousParameterization,
     temperature: float = 10.0,
 ) -> ContinuousTarget:
     """The surrogate named by ``mode`` (``"base"`` or ``"relaxed"``), or
@@ -181,9 +157,9 @@ def resolve_surrogate(
     if isinstance(mode, ContinuousTarget):
         return mode
     if mode == "base":
-        return base_surrogate(param)
+        return base_surrogate(target)
     if mode == "relaxed":
-        return smooth_relaxation_surrogate(target, param, temperature)
+        return smooth_relaxation_surrogate(target, temperature)
     raise ValueError(f"unknown surrogate mode: {mode!r}")
 
 
@@ -210,13 +186,12 @@ def sample_discrete(
     the standard-normal base unless ``init_sampler`` overrides, and the final
     particles map to states through the quantile bins.
     """
-    param = make_parameterization(target)
-    surrogate = resolve_surrogate(surrogate_mode, target, param, temperature)
+    surrogate = resolve_surrogate(surrogate_mode, target, temperature)
     if init_sampler is None:
         def init_sampler(r, m):
-            return r.standard_normal((m, param.dims))
+            return r.standard_normal((m, target.dims))
     result = run_gf_svgd(
-        target=pc_target(param),
+        target=pc_target(target),
         surrogate=surrogate,
         n=n,
         iters=iters,
@@ -226,14 +201,14 @@ def sample_discrete(
         rng=rng,
         init_sampler=init_sampler,
     )
-    states = gamma_map(result.ensemble.positions, param)
+    states = gamma_map(result.ensemble.positions, target)
     return DiscreteSampleResult(states=states, continuous=result)
 
 
-def state_index_rows(z: np.ndarray, param: ContinuousParameterization) -> np.ndarray:
+def state_index_rows(z: np.ndarray, target: DiscreteTarget) -> np.ndarray:
     """Integer state indices for serialization; raises on unknown state values."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    alpha = np.asarray(param.alphabet)
+    alpha = np.asarray(target.alphabet, dtype=float)
     idx = np.full(z.shape, -1, dtype=int)
     for i, value in enumerate(alpha):
         idx[z == value] = i
@@ -244,7 +219,7 @@ def state_index_rows(z: np.ndarray, param: ContinuousParameterization) -> np.nda
 
 def continuize_data(
     z_samples: np.ndarray,
-    param: ContinuousParameterization,
+    target: DiscreteTarget,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Lift discrete data to continuous points distributed as q_c given z.
@@ -254,13 +229,14 @@ def continuize_data(
     ``gamma_map`` returns the original states exactly.
     """
     z = np.atleast_2d(np.asarray(z_samples, dtype=float))
-    idx = state_index_rows(z, param)
-    k = param.n_states
+    idx = state_index_rows(z, target)
+    k = len(target.alphabet)
     y = (idx + rng.random(size=z.shape)) / k
     x = ndtri(y)
     # pin within the half-open bin against quantile round-off at the edges
-    lo = param.thresholds[idx]
-    hi = param.thresholds[idx + 1]
+    edges = bin_thresholds(k)
+    lo = edges[idx]
+    hi = edges[idx + 1]
     x = np.clip(x, lo, np.nextafter(hi, -np.inf))
     if np.asarray(z_samples).ndim == 1:
         return x[0]

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .discrete import (  # noqa: F401  (the two surrogate factories stay importable here for the clibench tracer)
-    ContinuousParameterization,
     base_surrogate,
     continuize_data,
-    make_parameterization,
     pc_log_density,
     resolve_surrogate,
     smooth_relaxation_surrogate,
@@ -72,7 +70,6 @@ class TestReport:
 def gof_gram(
     z_data: np.ndarray,
     null_target: DiscreteTarget,
-    param: ContinuousParameterization,
     rng: np.random.Generator,
     surrogate_mode: Union[str, ContinuousTarget] = "base",
     kernel: KernelSpec = KernelSpec(),
@@ -85,11 +82,11 @@ def gof_gram(
     z = np.atleast_2d(np.asarray(z_data, dtype=float))
     if z.shape[0] < 2:
         raise ValueError("goodness-of-fit testing needs at least two data points")
-    x = continuize_data(z, param, rng)
-    surrogate = resolve_surrogate(surrogate_mode, null_target, param)
+    x = continuize_data(z, null_target, rng)
+    surrogate = resolve_surrogate(surrogate_mode, null_target)
     sq = pairwise_sq_dists(x, x)
     h = resolve_bandwidth(kernel, x, sq)
-    gram = gf_stein_gram(x, surrogate, lambda pts: pc_log_density(pts, param), h, sq=sq)
+    gram = gf_stein_gram(x, surrogate, lambda pts: pc_log_density(pts, null_target), h, sq=sq)
     return 0.5 * (gram + gram.T)
 
 
@@ -127,16 +124,13 @@ def gof_test(
     seed: int = 0,
     surrogate_mode: Union[str, ContinuousTarget] = "base",
     kernel: KernelSpec = KernelSpec(),
-    param: Optional[ContinuousParameterization] = None,
 ) -> TestReport:
     """Bootstrap goodness-of-fit test of the data against ``null_target``.
 
     The p-value uses the finite-sample correction (r + 1) / (m + 1) where r
     counts replicates at or above the statistic.
     """
-    if param is None:
-        param = make_parameterization(null_target)
-    gram = gof_gram(z_data, null_target, param, stream_rng(seed, 0), surrogate_mode, kernel)
+    gram = gof_gram(z_data, null_target, stream_rng(seed, 0), surrogate_mode, kernel)
     statistic = u_statistic_from_gram(gram)
     replicates = bootstrap_null(gram, m, stream_rng(seed, 1))
     r = int(np.sum(replicates >= statistic))

@@ -80,8 +80,7 @@ def test_criterion_2_score_correctness():
     cases["kernel-curve"] = gfsvgd.kernel_curve_surrogate(anchors, rng.standard_normal(8), 1.5)
     cases["ising-surrogate"] = discrete.ising_surrogate(models.grid_ising(2, 3, 0.4))
     rbm_t = models.bernoulli_rbm_target(models.random_bernoulli_rbm(rng, 5, 3))
-    cases["relaxed-rbm-surrogate"] = discrete.smooth_relaxation_surrogate(
-        rbm_t, discrete.make_parameterization(rbm_t), 10.0)
+    cases["relaxed-rbm-surrogate"] = discrete.smooth_relaxation_surrogate(rbm_t, 10.0)
 
     worst = ("", 0.0)
     for name, target in cases.items():
@@ -181,14 +180,13 @@ def test_criterion_8_discrete_sampler():
     # (b) 3x3 Ising site means against exhaustive enumeration
     target = models.ising_target(models.grid_ising(3, 3, 0.2))
     oracle = models.brute_force_distribution(target) @ models.enumerate_states(target.alphabet, 9)
-    exact_pc = discrete.exact_pc_surrogate(discrete.make_parameterization(target))
+    exact_pc = discrete.exact_pc_surrogate(target)
     res_b = discrete.sample_discrete(target, exact_pc, 1000, 500, KERN_MEDIAN, ADAM, stream_rng(100, 0))
     site_err = float(np.max(np.abs(res_b.states.mean(axis=0) - oracle)))
 
     # (c) even-partition Monte Carlo bin frequencies
-    param = discrete.make_parameterization(cat)
     draws = stream_rng(1008, 0).standard_normal((1_000_000, 1))
-    idx = discrete.bin_indices(draws, param)[:, 0]
+    idx = discrete.bin_indices(draws, cat)[:, 0]
     bin_err = float(np.max(np.abs(np.bincount(idx, minlength=5) / draws.shape[0] - 0.2)))
 
     ok = tv <= 0.05 and site_err <= 0.05 and bin_err <= 0.002
@@ -199,7 +197,6 @@ def test_criterion_8_discrete_sampler():
 def test_criterion_9_gof_calibration_and_power():
     null_params = models.grid_ising(3, 3, 0.2)
     null = models.ising_target(null_params)
-    param = discrete.make_parameterization(null)
 
     def rejection_rate(theta_data, n, reps, seed):
         data_target = models.ising_target(models.grid_ising(3, 3, theta_data))
@@ -207,7 +204,7 @@ def test_criterion_9_gof_calibration_and_power():
         for r in range(reps):
             z = models.sample_discrete_target(stream_rng(seed, r, 0), n, data_target)
             rep = gof.gof_test(z, null, alpha=0.05, m=1000, seed=seed * 100_000 + r,
-                               surrogate_mode="relaxed", param=param)
+                               surrogate_mode="relaxed")
             hits += rep.reject
         return hits / reps
 

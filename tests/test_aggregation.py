@@ -20,9 +20,7 @@ from steinkit.aggregation import (
     empirical_fisher,
     exact_kl_optimum_gaussian,
     fit_loglog_slope,
-    kl_control,
-    kl_naive,
-    kl_weighted,
+    kl_average,
     linear_average,
     local_mle,
     match_components,
@@ -90,7 +88,7 @@ class TestPackUnpack:
 class TestKLNaive:
     def test_single_machine_is_bootstrap_mle(self):
         model = GaussianModel(mean=np.array([1.0]), cov=np.array([[2.0]]))
-        res = kl_naive([model], 500, stream_rng(83, 0))
+        res = kl_average("kl-naive", [model], 500, stream_rng(83, 0))
         boots = _draw_bootstrap([model], 500, stream_rng(83, 0))
         assert res.model.mean[0] == pytest.approx(boots[0].mean(), rel=1e-12)
 
@@ -108,8 +106,8 @@ class TestKLControl:
             GaussianModel(mean=stream_rng(84, k).normal(0, 0.01, size=2), cov=np.eye(2), machine=k)
             for k in range(4)
         ]
-        res = kl_control(models, 100_000, stream_rng(84, 10))
-        naive = kl_naive(models, 100_000, stream_rng(84, 10))
+        res = kl_average("kl-control", models, 100_000, stream_rng(84, 10))
+        naive = kl_average("kl-naive", models, 100_000, stream_rng(84, 10))
         correction = np.linalg.norm(pack_gaussian(res.model) - pack_gaussian(naive.model))
         assert correction < 1e-2 * np.linalg.norm(pack_gaussian(naive.model))
 
@@ -127,7 +125,7 @@ class TestKLControl:
     def test_gmm_rejected(self):
         g = GMMModel(weights=np.ones(1), means=np.zeros((1, 1)), covs=np.ones((1, 1, 1)))
         with pytest.raises(ValueError):
-            kl_control([g, g], 10, stream_rng(84, 30))
+            kl_average("kl-control", [g, g], 10, stream_rng(84, 30))
 
 
 class TestKLWeighted:
@@ -159,7 +157,7 @@ class TestKLWeighted:
 
     def test_full_run_returns_result(self):
         models = [GaussianModel(mean=np.zeros(2), cov=np.eye(2), machine=k) for k in range(3)]
-        res = kl_weighted(models, 50, stream_rng(85, 2))
+        res = kl_average("kl-weighted", models, 50, stream_rng(85, 2))
         assert isinstance(res, AggregationResult)
         assert res.method == "kl-weighted"
 
@@ -216,7 +214,7 @@ class TestExactKLAverage:
         models = [GaussianModel(mean=np.array([m]), cov=cov) for m in (-1.0, 0.0, 1.0)]
         exact = exact_kl_optimum_gaussian(models)
         n = 100_000
-        res = kl_naive(models, n, stream_rng(86, 10))
+        res = kl_average("kl-naive", models, n, stream_rng(86, 10))
         stderr = 1.0 / np.sqrt(3 * n)
         assert abs(res.model.mean[0] - exact.mean[0]) < 3 * stderr
 
@@ -355,11 +353,16 @@ class TestSharedEstimatorPath:
     @pytest.mark.parametrize("method", ["kl-naive", "kl-control", "kl-weighted"])
     def test_public_wrappers_draw_then_fit(self, method):
         models = _draw_asymptotic_local_models(stream_rng(89, 0), 3, 2, 3e4)
-        run = {"kl-naive": kl_naive, "kl-control": kl_control, "kl-weighted": kl_weighted}[method]
-        res = run(models, 40, stream_rng(89, 1))
+        res = kl_average(method, models, 40, stream_rng(89, 1))
         boots = _draw_bootstrap(models, 40, stream_rng(89, 1))
         assert res.method == method
         assert_same_fits({method: res.model}, {method: full_family_fits_oracle(models, boots, ALL_METHODS)[method]})
+
+    def test_kl_average_rejects_other_methods(self):
+        models = _draw_asymptotic_local_models(stream_rng(89, 0), 3, 2, 3e4)
+        for method in ("linear", "kl_naive"):
+            with pytest.raises(ValueError, match="unknown KL-averaging method"):
+                kl_average(method, models, 40, stream_rng(89, 1))
 
     def test_gmm_wrappers_refit_before_the_pooled_fit(self):
         means = np.array([[-3.0, 0.0], [3.0, 0.0]])
@@ -370,12 +373,12 @@ class TestSharedEstimatorPath:
         refits = [_gmm_em(b, 2, rng) for b in boots]
         log_ratio = np.concatenate([model_logpdf(h, b) - model_logpdf(t, b) for h, t, b in zip(models, refits, boots)])
         want = _gmm_em(np.vstack(boots), 2, rng, np.exp(np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)))
-        got = kl_weighted(models, 60, stream_rng(90, 0)).model
+        got = kl_average("kl-weighted", models, 60, stream_rng(90, 0)).model
         for a in ("weights", "means", "covs"):
             assert np.array_equal(getattr(got, a), getattr(want, a))
         rng = stream_rng(90, 1)
         want = _gmm_em(np.vstack(_draw_bootstrap(models, 60, rng)), 2, rng)
-        got = kl_naive(models, 60, stream_rng(90, 1)).model
+        got = kl_average("kl-naive", models, 60, stream_rng(90, 1)).model
         for a in ("weights", "means", "covs"):
             assert np.array_equal(getattr(got, a), getattr(want, a))
         # both pooled fits after every refit, naive before weighted

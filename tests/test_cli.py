@@ -126,6 +126,11 @@ BAD_INPUT = {
                                       "surrogate": {"type": "gaussian", "mu": [], "sigma": 1.0}}, None, "surrogate/mu"),
     "bbis-points-mu-empty": ("bbis", {"model": GAUSS_1D, "points": {"mu": [], "sigma": 1.0, "n": 5}}, None,
                              "points/mu"),
+    # a bootstrap size repeated in the grid, too few points per machine for a covariance draw
+    "aggregate-n-grid-repeated": ("aggregate", {"methods": ["kl-control"], "machines": 2, "trials": 1, "dim": 1,
+                                                "n_grid": [1, 1]}, None, "n_grid"),
+    "aggregate-big-n-below-dim": ("aggregate", {"dim": 2, "machines": 2, "n_grid": [10], "trials": 1, "big_n": 3},
+                                  None, "big_n"),
 }
 
 
@@ -141,6 +146,19 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, name):
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: config:")
     assert all(key in err[0] for key in names), err[0]
+
+
+@pytest.mark.parametrize("subcommand, threads", [("discrete-sample", "8"), ("discrete-sample", "-3"),
+                                                 ("aggregate", "0")])
+def test_threads_out_of_range_exits_2_with_one_error_line(tmp_path, capsys, subcommand, threads):
+    # only aggregate runs trials in parallel; no subcommand runs on fewer than one thread
+    cfg = {"discrete-sample": {"model": ISING_2X2, "n": 10, "iters": 2},
+           "aggregate": {"dim": 1, "machines": 2, "n_grid": [10], "trials": 1}}[subcommand]
+    rc = run_cli([subcommand, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o"),
+                  "--threads", threads])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: config:") and "--threads" in err[0], err
 
 
 def test_categorical_states_keep_their_own_masses():
@@ -268,6 +286,12 @@ class TestSubcommands:
         assert run_cli(["aggregate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         assert run_cli(["aggregate", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", "3"]) == 0
         assert (tmp_path / "a" / "rates.csv").read_bytes() == (tmp_path / "b" / "rates.csv").read_bytes()
+
+    def test_aggregate_known_covariance_needs_no_covariance_draw(self, tmp_path):
+        # the big_n bound protects the Wishart draw, which a known covariance skips
+        cfg = write_config(tmp_path, "c.json", {"dim": 2, "machines": 2, "n_grid": [10], "trials": 1, "big_n": 3,
+                                                "known_covariance": True})
+        assert run_cli(["aggregate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_oracle_brute_force(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

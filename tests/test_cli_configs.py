@@ -97,7 +97,7 @@ CONFIGS = {
         optional={"kernel": kernel, "schedule": schedule, "m0": st.integers(1, 50), "seed": st.integers(0, 5)}),
     "aggregate": st.fixed_dictionaries(
         {"dim": st.integers(1, 3), "machines": st.integers(1, 3), "trials": st.integers(1, 2),
-         "n_grid": st.lists(st.integers(1, 30), min_size=1, max_size=3)},
+         "n_grid": st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True)},
         optional={"methods": st.lists(st.sampled_from(["kl-naive", "kl-control", "kl-weighted", "linear"]),
                                       min_size=1, max_size=4),
                   "big_n": st.floats(1e-3, 1e8), "known_covariance": st.booleans(), "seed": st.integers(0, 5)}),

@@ -8,10 +8,10 @@ from scipy.stats import kstest
 
 from steinkit.discrete import (
     bin_indices,
+    bin_thresholds,
     continuize_data,
     gamma_map,
     ising_surrogate,
-    make_parameterization,
     pc_log_density,
     sample_discrete,
     sign_relaxation,
@@ -67,11 +67,11 @@ def phi_series(x: float) -> float:
 
 
 class TestInverseNormalCdf:
-    # the thresholds eta_i = Phi^-1(i/K) of make_parameterization
+    # the thresholds eta_i = Phi^-1(i/K) of bin_thresholds
     def test_median_is_zero(self):
-        # every Ising and RBM run bins by these bits
-        param = make_parameterization(ising_target(IsingParams(dims=1, edges=())))
-        assert param.thresholds.tolist() == [-np.inf, 0.0, np.inf]
+        # every Ising and RBM run bins by these bits, shared read-only by every caller
+        assert bin_thresholds(2).tolist() == [-np.inf, 0.0, np.inf]
+        assert not bin_thresholds(2).flags.writeable
 
     def test_quartile_against_bisection_oracle(self):
         # bisection on a series-based Phi, fully independent of the implementation
@@ -83,7 +83,7 @@ class TestInverseNormalCdf:
             else:
                 hi = mid
         oracle = 0.5 * (lo + hi)
-        eta = make_parameterization(categorical_target([0.0, 1.0, 2.0, 3.0], [0.25] * 4)).thresholds
+        eta = bin_thresholds(4)
         assert eta[1] == pytest.approx(oracle, abs=1e-12)
         assert eta[1] == pytest.approx(-0.674490, abs=1e-6)
         assert eta[2] == 0.0
@@ -92,28 +92,23 @@ class TestInverseNormalCdf:
 class TestGammaMap:
     def test_binary_is_sign_with_upper_boundary(self):
         t = ising_target(IsingParams(dims=1, edges=()))
-        param = make_parameterization(t)
         x = np.array([[-0.3], [0.0], [2.0]])
-        assert np.array_equal(gamma_map(x, param), np.array([[-1.0], [1.0], [1.0]]))
+        assert np.array_equal(gamma_map(x, t), np.array([[-1.0], [1.0], [1.0]]))
 
     def test_five_state_origin_lands_in_middle(self):
         t = categorical_target([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2] * 5)
-        param = make_parameterization(t)
-        assert gamma_map(np.array([[0.0]]), param)[0, 0] == 0.0
+        assert gamma_map(np.array([[0.0]]), t)[0, 0] == 0.0
         # eta_2 = Phi^-1(0.4) < 0 <= eta_3 = Phi^-1(0.6)
-        assert param.thresholds[2] < 0.0 < param.thresholds[3]
+        assert bin_thresholds(5)[2] < 0.0 < bin_thresholds(5)[3]
 
     def test_even_partition_analytic(self):
-        t = categorical_target([0.0, 1.0, 2.0, 3.0, 4.0], [0.2] * 5)
-        param = make_parameterization(t)
-        cdf_at = ndtr(param.thresholds[1:-1])
+        cdf_at = ndtr(bin_thresholds(5)[1:-1])
         assert np.max(np.abs(cdf_at - np.array([0.2, 0.4, 0.6, 0.8]))) < 1e-9
 
     def test_even_partition_monte_carlo(self):
         t = categorical_target([0.0, 1.0, 2.0, 3.0, 4.0], [0.2] * 5)
-        param = make_parameterization(t)
         x = stream_rng(61, 0).standard_normal((1_000_000, 1))
-        idx = bin_indices(x, param)[:, 0]
+        idx = bin_indices(x, t)[:, 0]
         freq = np.bincount(idx, minlength=5) / x.shape[0]
         assert np.max(np.abs(freq - 0.2)) < 0.002
 
@@ -121,20 +116,18 @@ class TestGammaMap:
 class TestPcDensity:
     def test_uniform_masses_reduce_to_base(self):
         t = categorical_target([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-        param = make_parameterization(t)
         x = stream_rng(62, 0).standard_normal((20, 1))
-        vals = pc_log_density(x, param) + 0.5 * np.einsum("nd,nd->n", x, x)
+        vals = pc_log_density(x, t) + 0.5 * np.einsum("nd,nd->n", x, x)
         assert np.allclose(vals, vals[0], atol=1e-12)
 
     def test_bin_integrals_match_masses(self):
         masses = np.array([0.25, 0.45, 0.3])
         t = categorical_target([-1.0, 0.0, 1.0], masses)
-        param = make_parameterization(t)
 
         def pc(x):
-            return float(np.exp(pc_log_density(np.array([x]), param)))
+            return float(np.exp(pc_log_density(np.array([x]), t)))
 
-        edges = [-np.inf, *param.thresholds[1:-1], np.inf]
+        edges = bin_thresholds(3)
         bins = [quad(pc, edges[i], edges[i + 1], limit=200)[0] for i in range(3)]
         total = sum(bins)
         assert np.allclose(np.array(bins) / total, masses, atol=1e-6)
@@ -143,10 +136,8 @@ class TestPcDensity:
         masses = np.array([0.25, 0.45, 0.3])
         t = categorical_target([-1.0, 0.0, 1.0], masses)
         shifted = DiscreteTarget(dims=1, alphabet=t.alphabet, log_mass=lambda z: t.log_mass(z) + 7.0)
-        pa = make_parameterization(t)
-        pb = make_parameterization(shifted)
         x = stream_rng(62, 1).standard_normal((10, 1))
-        assert np.allclose(pc_log_density(x, pb) - pc_log_density(x, pa), 7.0, atol=1e-12)
+        assert np.allclose(pc_log_density(x, shifted) - pc_log_density(x, t), 7.0, atol=1e-12)
 
 
 class TestSurrogates:
@@ -188,7 +179,7 @@ class TestSurrogates:
     def test_relaxed_rbm_surrogate_score(self):
         params = random_bernoulli_rbm(stream_rng(63, 2), dims=5, hidden=3)
         target = bernoulli_rbm_target(params)
-        s = smooth_relaxation_surrogate(target, make_parameterization(target), temperature=10.0)
+        s = smooth_relaxation_surrogate(target, temperature=10.0)
         t = ContinuousTarget(dim=5, log_density=s.log_density, score=s.score)
         rng = stream_rng(63, 3)
         for _ in range(20):
@@ -200,39 +191,35 @@ class TestSurrogates:
     def test_relaxation_needs_relaxed_energy(self):
         t = categorical_target([-1.0, 1.0], [0.4, 0.6])
         with pytest.raises(ValueError):
-            smooth_relaxation_surrogate(t, make_parameterization(t))
+            smooth_relaxation_surrogate(t)
 
 
 class TestContinuize:
     def test_round_trip_exact(self):
         t = categorical_target([-1.0, -0.5, 0.0, 0.5, 1.0], [0.1, 0.2, 0.3, 0.1, 0.3])
-        param = make_parameterization(t)
         rng = stream_rng(64, 0)
-        states = np.asarray(param.alphabet)[rng.integers(0, 5, size=(5000, 1))]
-        x = continuize_data(states, param, rng)
-        assert np.array_equal(gamma_map(x, param), states)
+        states = np.asarray(t.alphabet)[rng.integers(0, 5, size=(5000, 1))]
+        x = continuize_data(states, t, rng)
+        assert np.array_equal(gamma_map(x, t), states)
 
     def test_uniform_states_give_standard_normal(self):
         t = categorical_target([0.0, 1.0, 2.0, 3.0], [0.25] * 4)
-        param = make_parameterization(t)
         rng = stream_rng(64, 1)
-        states = np.asarray(param.alphabet)[rng.integers(0, 4, size=(100_000, 1))]
-        x = continuize_data(states, param, rng)[:, 0]
+        states = np.asarray(t.alphabet)[rng.integers(0, 4, size=(100_000, 1))]
+        x = continuize_data(states, t, rng)[:, 0]
         result = kstest(x, "norm")
         assert result.pvalue > 0.01
 
     def test_binary_positive_state_maps_right_half(self):
         t = ising_target(IsingParams(dims=1, edges=()))
-        param = make_parameterization(t)
         z = np.ones((1000, 1))
-        x = continuize_data(z, param, stream_rng(64, 2))
+        x = continuize_data(z, t, stream_rng(64, 2))
         assert np.all(x > 0)
 
     def test_unknown_state_rejected(self):
         t = categorical_target([-1.0, 1.0], [0.5, 0.5])
-        param = make_parameterization(t)
         with pytest.raises(ValueError):
-            state_index_rows(np.array([[0.5]]), param)
+            state_index_rows(np.array([[0.5]]), t)
 
 
 class TestSampleDiscrete:
@@ -259,6 +246,6 @@ class TestSampleDiscrete:
             with pytest.raises(ValueError, match="unknown surrogate mode"):
                 sample_discrete(t, mode, 10, 5, KernelSpec(), StepSchedule(), stream_rng(0, 0))
             with pytest.raises(ValueError, match="unknown surrogate mode"):
-                gof_gram(z, t, make_parameterization(t), stream_rng(0, 1), surrogate_mode=mode)
+                gof_gram(z, t, stream_rng(0, 1), surrogate_mode=mode)
             with pytest.raises(ValueError, match="unknown surrogate mode"):
                 gof_test(z, t, m=10, surrogate_mode=mode)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steinkit.discrete import continuize_data, make_parameterization
+from steinkit.discrete import continuize_data
 from steinkit.gof import (
     TestReport,
     bootstrap_null,
@@ -34,19 +34,17 @@ def three_state_target(masses=(0.25, 0.45, 0.3)):
 class TestStatistic:
     def test_two_points_is_single_kernel_value(self):
         t = three_state_target()
-        param = make_parameterization(t)
         z = np.array([[-1.0], [1.0]])
-        gram = gof_gram(z, t, param, stream_rng(71, 0))
+        gram = gof_gram(z, t, stream_rng(71, 0))
         stat = u_statistic_from_gram(gram)
         assert stat == pytest.approx(gram[0, 1], rel=1e-12)
 
     def test_null_statistic_centered(self):
         t = ising_target(grid_ising(2, 2, 0.3))
-        param = make_parameterization(t)
         stats = []
         for r in range(200):
             z = sample_discrete_target(stream_rng(71, 1, r), 40, t)
-            stats.append(u_statistic_from_gram(gof_gram(z, t, param, stream_rng(71, 2, r))))
+            stats.append(u_statistic_from_gram(gof_gram(z, t, stream_rng(71, 2, r))))
         stats = np.array(stats)
         stderr = stats.std(ddof=1) / np.sqrt(stats.size)
         assert abs(stats.mean()) < 4 * stderr
@@ -55,9 +53,8 @@ class TestStatistic:
         # doubling every row changes the U-statistic only through the new
         # cross-copy pairs, whose kernel values sit on the tiled diagonal
         t = three_state_target()
-        param = make_parameterization(t)
         z = sample_discrete_target(stream_rng(71, 3), 30, t)
-        gram = gof_gram(z, t, param, stream_rng(71, 4))
+        gram = gof_gram(z, t, stream_rng(71, 4))
         n = gram.shape[0]
         tiled = np.tile(gram, (2, 2))
         direct = u_statistic_from_gram(tiled)
@@ -66,17 +63,15 @@ class TestStatistic:
 
     def test_fixed_bandwidth_at_the_median_is_the_median_gram(self):
         t = ising_target(grid_ising(2, 2, 0.3))
-        param = make_parameterization(t)
         z = sample_discrete_target(stream_rng(71, 6), 40, t)
-        h = median_bandwidth(continuize_data(z, param, stream_rng(71, 7)))
-        fixed = gof_gram(z, t, param, stream_rng(71, 7), kernel=KernelSpec(h))
-        assert np.array_equal(fixed, gof_gram(z, t, param, stream_rng(71, 7)))
+        h = median_bandwidth(continuize_data(z, t, stream_rng(71, 7)))
+        fixed = gof_gram(z, t, stream_rng(71, 7), kernel=KernelSpec(h))
+        assert np.array_equal(fixed, gof_gram(z, t, stream_rng(71, 7)))
 
     def test_needs_two_points(self):
         t = three_state_target()
-        param = make_parameterization(t)
         with pytest.raises(ValueError):
-            gof_gram(np.array([[0.0]]), t, param, stream_rng(71, 5))
+            gof_gram(np.array([[0.0]]), t, stream_rng(71, 5))
 
 
 class TestBootstrap:
@@ -103,9 +98,8 @@ class TestBootstrap:
 
     def test_permutation_exchangeability(self):
         t = three_state_target()
-        param = make_parameterization(t)
         z = sample_discrete_target(stream_rng(72, 4), 25, t)
-        gram = gof_gram(z, t, param, stream_rng(72, 5))
+        gram = gof_gram(z, t, stream_rng(72, 5))
         perm = stream_rng(72, 6).permutation(25)
         gram_p = gram[np.ix_(perm, perm)]
         assert u_statistic_from_gram(gram_p) == pytest.approx(u_statistic_from_gram(gram), rel=1e-12)
@@ -159,13 +153,12 @@ class TestRBMNullSmoke:
             c=rng.standard_normal(5),
         )
         t = bernoulli_rbm_target(params_rbm)
-        param = make_parameterization(t)
         hits = 0
         reps = 120
         for r in range(reps):
             z = sample_discrete_target(stream_rng(555, 1, r), 100, t)
             rep = gof_test(z, t, alpha=0.05, m=500, seed=555_000 + r,
-                           surrogate_mode="relaxed", param=param)
+                           surrogate_mode="relaxed")
             hits += rep.reject
         assert hits / reps <= 0.1
 
@@ -173,7 +166,6 @@ class TestRBMNullSmoke:
 class TestMonotonePower:
     def test_rejection_rate_nondecreasing_in_perturbation(self):
         null = ising_target(grid_ising(3, 3, 0.2))
-        param = make_parameterization(null)
         rates = []
         for theta in (0.2, 0.35, 0.5):
             data_target = ising_target(grid_ising(3, 3, theta))
@@ -181,7 +173,7 @@ class TestMonotonePower:
             reps = 40
             for r in range(reps):
                 z = sample_discrete_target(stream_rng(74, int(theta * 100), r), 300, data_target)
-                rep = gof_test(z, null, alpha=0.05, m=300, seed=740_000 + r, param=param)
+                rep = gof_test(z, null, alpha=0.05, m=300, seed=740_000 + r)
                 hits += rep.reject
             rates.append(hits / reps)
         assert rates[1] >= rates[0] - 0.02
