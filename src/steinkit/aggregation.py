@@ -506,5 +506,9 @@ def gaussian_rate_experiment(
 
 
 def fit_loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares slope of log(values) against log(ns)."""
-    return float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(np.asarray(values, dtype=float)), 1)[0])
+    """Least-squares slope of log(values) against log(ns); raises ValueError
+    unless every value is positive."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(values > 0):
+        raise ValueError("a log-log slope needs positive values")
+    return float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(values), 1)[0])

@@ -1,19 +1,23 @@
 """Experiment runner.
 
 Each subcommand reads a JSON config (validated against the published schema
-before any computation), seeds a named random stream, dispatches to the
-library, and writes ``metrics.csv`` (columns: iteration/trial index, metric
-name, value), ``summary.json`` (final estimates, seed, config echo), and for
-sample-producing runs ``samples.csv``.
+before any computation), seeds a named random stream and dispatches to the
+library.  Its runner fills a ``RunOutput`` and returns its results; ``main``
+alone writes the files: ``metrics.csv`` (columns: iteration/trial index,
+metric name, value), ``samples.csv`` for sample-producing runs unless
+``emit_samples`` is false, the runner's further files (``report.json``,
+``rates.csv``) and ``summary.json`` (final estimates, seed, config echo).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure; failures print a
-single machine-parsable line `error: <kind>: <message>` on stderr.  Numeric
-CSV cells use the shortest round-trip decimal representation.
+single machine-parsable line `error: <kind>: <message>` on stderr and write
+no file.  Numeric CSV cells use the shortest round-trip decimal
+representation.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -44,23 +48,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-class MetricsWriter:
+class RunOutput:
+    """What a run writes besides ``summary.json``: metric rows, the samples
+    table (an integer array is written as integers) and further files by
+    name.  Runners fill it; ``main`` writes it once the run has succeeded."""
+
     def __init__(self):
         self.rows: list[tuple[int, str, float]] = []
+        self.samples: Optional[np.ndarray] = None
+        self.files: dict[str, str] = {}
 
     def add(self, index: int, metric: str, value: float) -> None:
         self.rows.append((int(index), metric, value))
 
-    def write(self, path: Path) -> None:
+    def write(self, outdir: Path, emit_samples: bool) -> None:
         lines = ["iteration,metric,value"]
         lines += [f"{i},{m},{_fmt(v)}" for i, m, v in self.rows]
-        path.write_text("\n".join(lines) + "\n")
-
-
-def _write_samples(path: Path, rows: np.ndarray, integer: bool = False) -> None:
-    arr = np.atleast_2d(rows)
-    lines = [",".join(str(int(v)) if integer else _fmt(v) for v in row) for row in arr]
-    path.write_text("\n".join(lines) + "\n")
+        (outdir / "metrics.csv").write_text("\n".join(lines) + "\n")
+        if self.samples is not None and emit_samples:
+            rows = [",".join(_fmt(v) for v in row) for row in np.atleast_2d(self.samples)]
+            (outdir / "samples.csv").write_text("\n".join(rows) + "\n")
+        for name, text in self.files.items():
+            (outdir / name).write_text(text)
 
 
 def _read_csv(path: str, dtype=float) -> np.ndarray:
@@ -145,18 +154,16 @@ def build_continuous_model(spec: dict, seed: int) -> models.ContinuousTarget:
     raise ConfigError(f"not a continuous model: {kind!r}")
 
 
-def build_discrete_model(spec: dict, seed: int):
-    """Returns (target, ising_params_or_None)."""
+def build_discrete_model(spec: dict, seed: int) -> models.DiscreteTarget:
     kind = spec["type"]
     if kind == "ising-grid":
-        params = models.grid_ising(spec["rows"], spec["cols"], spec["theta"])
-        return models.ising_target(params), params
+        return models.ising_target(models.grid_ising(spec["rows"], spec["cols"], spec["theta"]))
     if kind == "bernoulli-rbm":
-        return models.bernoulli_rbm_target(models.BernoulliRBMParams(W=spec["W"], b=spec["b"], c=spec["c"])), None
+        return models.bernoulli_rbm_target(models.BernoulliRBMParams(W=spec["W"], b=spec["b"], c=spec["c"]))
     if kind == "bernoulli-rbm-random":
         rng = stream_rng(seed, STREAM_MODEL)
         params = models.random_bernoulli_rbm(rng, spec["dims"], spec["hidden"], spec.get("w_scale", 0.05))
-        return models.bernoulli_rbm_target(params), None
+        return models.bernoulli_rbm_target(params)
     if kind == "categorical":
         # log_mass looks states up by binary search, so they are kept sorted
         states, first = np.unique(np.asarray(spec["states"], dtype=float), return_index=True)
@@ -173,7 +180,7 @@ def build_discrete_model(spec: dict, seed: int):
             out = log_masses[np.clip(idx, 0, states.size - 1)]
             return out if np.asarray(z).ndim > 1 else out[0]
 
-        return models.DiscreteTarget(dims=1, alphabet=tuple(float(s) for s in states), log_mass=log_mass), None
+        return models.DiscreteTarget(dims=1, alphabet=tuple(float(s) for s in states), log_mass=log_mass)
     raise ConfigError(f"not a discrete model: {kind!r}")
 
 
@@ -202,79 +209,67 @@ def build_surrogate(spec: Optional[dict], target: models.ContinuousTarget) -> mo
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
-def _trace_callback(metrics: MetricsWriter, every: int, total: int):
+def _trace_callback(out: RunOutput, cfg: dict, total: int):
+    every = cfg.get("metric_every", 10)
+
     def cb(ensemble):
         it = ensemble.iteration
         if it % every == 0 or it == total:
             x = ensemble.positions
-            metrics.add(it, "mean", float(x.mean()))
-            metrics.add(it, "second_moment", float((x ** 2).mean()))
+            out.add(it, "mean", float(x.mean()))
+            out.add(it, "second_moment", float((x ** 2).mean()))
 
     return cb
 
 
-def run_svgd_cmd(cfg, seed, outdir):
+def _particle_results(out: RunOutput, cfg: dict, x: np.ndarray, ess_history=(), **results) -> dict:
+    """The tail of the particle samplers: an ESS row every ``metric_every``
+    steps, the particles as samples, and their mean and second moment
+    besides the runner's own ``results``."""
+    for i in range(0, len(ess_history), cfg.get("metric_every", 10)):
+        out.add(i, "ess", float(ess_history[i]))
+    out.samples = x
+    return {"mean": x.mean(axis=0).tolist(), "second_moment": (x ** 2).mean(axis=0).tolist(), **results}
+
+
+def run_svgd_cmd(cfg, seed, out):
     target = build_continuous_model(cfg["model"], seed)
-    metrics = MetricsWriter()
-    every = cfg.get("metric_every", 10)
     ensemble = svgd.run_svgd(
         target, cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel")), build_schedule(cfg.get("schedule")),
         stream_rng(seed, STREAM_INIT), _gaussian_init(cfg.get("init"), "init", target.dim),
-        callback=_trace_callback(metrics, every, cfg["iters"]),
+        callback=_trace_callback(out, cfg, cfg["iters"]),
     )
-    metrics.write(outdir / "metrics.csv")
-    if cfg.get("emit_samples", True):
-        _write_samples(outdir / "samples.csv", ensemble.positions)
-    x = ensemble.positions
-    return {"mean": x.mean(axis=0).tolist(), "second_moment": (x ** 2).mean(axis=0).tolist(),
-            "iterations": ensemble.iteration}
+    return _particle_results(out, cfg, ensemble.positions, iterations=ensemble.iteration)
 
 
-def run_gfsvgd_cmd(cfg, seed, outdir):
+def run_gfsvgd_cmd(cfg, seed, out):
     target = build_continuous_model(cfg["model"], seed)
     surrogate = build_surrogate(cfg.get("surrogate"), target)
-    metrics = MetricsWriter()
-    every = cfg.get("metric_every", 10)
     result = gfsvgd.run_gf_svgd(
         target, surrogate, cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel")),
         build_schedule(cfg.get("schedule")), cfg.get("weight_mode", "self-normalized"),
         stream_rng(seed, STREAM_INIT), _gaussian_init(cfg.get("init"), "init", target.dim),
-        callback=_trace_callback(metrics, every, cfg["iters"]),
+        callback=_trace_callback(out, cfg, cfg["iters"]),
     )
-    for i in range(0, cfg["iters"], every):
-        metrics.add(i, "ess", float(result.ess_history[i]))
-    metrics.write(outdir / "metrics.csv")
-    x = result.ensemble.positions
-    if cfg.get("emit_samples", True):
-        _write_samples(outdir / "samples.csv", x)
-    return {"mean": x.mean(axis=0).tolist(), "second_moment": (x ** 2).mean(axis=0).tolist(),
-            "final_ess": result.final_weights.ess, "iterations": result.ensemble.iteration}
+    return _particle_results(out, cfg, result.ensemble.positions, result.ess_history,
+                             final_ess=result.final_weights.ess, iterations=result.ensemble.iteration)
 
 
-def run_agf_svgd_cmd(cfg, seed, outdir):
+def run_agf_svgd_cmd(cfg, seed, out):
     target = build_continuous_model(cfg["model"], seed)
     mu = _with_model_dim("p0/mu", cfg["p0"]["mu"], target.dim)
     p0 = models.gaussian_target(mu, cfg["p0"]["sigma"])
     betas = np.linspace(0.0, 1.0, cfg["n_temps"] + 1)
-    metrics = MetricsWriter()
-    every = cfg.get("metric_every", 10)
     result = gfsvgd.run_agf_svgd(
         target, p0, betas, cfg["n"], build_kernel(cfg.get("kernel")), build_schedule(cfg.get("schedule")),
         stream_rng(seed, STREAM_INIT), models.gaussian_sampler(mu, cfg["p0"]["sigma"]),
         smoothing=kernels.KernelSpec(cfg.get("smoothing_h", kernels.MEDIAN_HEURISTIC)),
-        callback=_trace_callback(metrics, every, cfg["n_temps"]),
+        callback=_trace_callback(out, cfg, cfg["n_temps"]),
     )
-    for i in range(0, cfg["n_temps"], every):
-        metrics.add(i, "ess", float(result.ess_history[i]))
-    metrics.write(outdir / "metrics.csv")
-    x = result.ensemble.positions
-    if cfg.get("emit_samples", True):
-        _write_samples(outdir / "samples.csv", x)
-    return {"mean": x.mean(axis=0).tolist(), "second_moment": (x ** 2).mean(axis=0).tolist(),
-            "temperatures": cfg["n_temps"]}
+    return _particle_results(out, cfg, result.ensemble.positions, result.ess_history, temperatures=cfg["n_temps"])
 
 
-def run_steinis_cmd(cfg, seed, outdir):
+def run_steinis_cmd(cfg, seed, out):
     target = build_continuous_model(cfg["model"], seed)
     mu = _with_model_dim("q0/mu", cfg["q0"]["mu"], target.dim)
     result = steinis.run_steinis(
@@ -283,21 +278,17 @@ def run_steinis_cmd(cfg, seed, outdir):
         build_kernel(cfg.get("kernel")), build_schedule(cfg.get("schedule", {"mode": "decay", "eps": 0.3})),
         stream_rng(seed, STREAM_RUN), det_mode=cfg.get("det_mode", "auto"),
     )
-    metrics = MetricsWriter()
     for i, eps in enumerate(result.ensemble.eps_history):
-        metrics.add(i, "eps", eps)
-    metrics.add(cfg["iters"], "ess", result.sample.ess)
-    metrics.add(cfg["iters"], "z_hat", result.z_hat)
-    metrics.write(outdir / "metrics.csv")
-    if cfg.get("emit_samples", True):
-        _write_samples(outdir / "samples.csv",
-                       np.hstack([result.sample.positions, result.sample.log_weights[:, None]]))
+        out.add(i, "eps", eps)
+    out.add(cfg["iters"], "ess", result.sample.ess)
+    out.add(cfg["iters"], "z_hat", result.z_hat)
+    out.samples = np.hstack([result.sample.positions, result.sample.log_weights[:, None]])
     mean_est = steinis.self_normalized_expectation(result.sample, lambda x: x)
     return {"z_hat": result.z_hat, "ess": result.sample.ess,
             "self_normalized_mean": np.atleast_1d(mean_est).tolist()}
 
 
-def run_path_logz_cmd(cfg, seed, outdir):
+def run_path_logz_cmd(cfg, seed, out):
     target = build_continuous_model(cfg["model"], seed)
     mu = _with_model_dim("q0/mu", cfg["q0"]["mu"], target.dim)
     logz = steinis.path_integration_logZ(
@@ -306,43 +297,39 @@ def run_path_logz_cmd(cfg, seed, outdir):
         build_schedule(cfg.get("schedule", {"mode": "constant", "eps": 0.05})),
         cfg.get("m0", 100000), stream_rng(seed, STREAM_RUN),
     )
-    metrics = MetricsWriter()
-    metrics.add(cfg["iters"], "log_z", logz)
-    metrics.write(outdir / "metrics.csv")
+    out.add(cfg["iters"], "log_z", logz)
     return {"log_z": logz}
 
 
-def _discrete_surrogate(cfg, ising_params):
-    """The ``ising`` surrogate (only the CLI holds the grid's parameters), or
-    the mode name for ``discrete.resolve_surrogate``."""
+def _discrete_surrogate(cfg):
+    """The mode name for ``discrete.resolve_surrogate``, or for ``ising`` the
+    Gaussian-form surrogate of the config's ``ising-grid`` model."""
     mode = cfg.get("surrogate_mode", "base")
-    if mode == "ising":
-        if ising_params is None:
-            raise ConfigError("surrogate_mode 'ising' needs an ising-grid model")
-        return discrete.ising_surrogate(ising_params, cfg.get("lam"))
-    return mode
+    if mode != "ising":
+        return mode
+    spec = cfg["model"]
+    if spec["type"] != "ising-grid":
+        raise ConfigError("surrogate_mode 'ising' needs an ising-grid model")
+    return discrete.ising_surrogate(models.grid_ising(spec["rows"], spec["cols"], spec["theta"]), cfg.get("lam"))
 
 
-def run_discrete_sample_cmd(cfg, seed, outdir):
-    target, params = build_discrete_model(cfg["model"], seed)
-    surrogate = _discrete_surrogate(cfg, params)
+def run_discrete_sample_cmd(cfg, seed, out):
+    target = build_discrete_model(cfg["model"], seed)
     result = discrete.sample_discrete(
-        target, surrogate, cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel")),
+        target, _discrete_surrogate(cfg), cfg["n"], cfg["iters"], build_kernel(cfg.get("kernel")),
         build_schedule(cfg.get("schedule")), stream_rng(seed, STREAM_RUN),
         temperature=cfg.get("temperature", 10.0),
     )
-    metrics = MetricsWriter()
-    for i, ess in enumerate(result.continuous.ess_history):
-        if i % 10 == 0:
-            metrics.add(i, "ess", float(ess))
-    metrics.write(outdir / "metrics.csv")
-    _write_samples(outdir / "samples.csv", discrete.state_index_rows(result.states, target), integer=True)
-    site_means = result.states.mean(axis=0)
-    return {"site_means": np.atleast_1d(site_means).tolist(), "n_samples": int(result.states.shape[0])}
+    ess_history = result.continuous.ess_history
+    for i in range(0, len(ess_history), 10):
+        out.add(i, "ess", float(ess_history[i]))
+    out.samples = discrete.state_index_rows(result.states, target)
+    return {"site_means": np.atleast_1d(result.states.mean(axis=0)).tolist(),
+            "n_samples": int(result.states.shape[0])}
 
 
-def run_gof_cmd(cfg, seed, outdir):
-    target, params = build_discrete_model(cfg["model"], seed)
+def run_gof_cmd(cfg, seed, out):
+    target = build_discrete_model(cfg["model"], seed)
     if "path" in cfg["data"]:
         path = cfg["data"]["path"]
         idx = _read_csv(path, dtype=int)
@@ -351,24 +338,21 @@ def run_gof_cmd(cfg, seed, outdir):
             raise ConfigError(f"data file {path}: each row must hold {target.dims} state indices in [0, {k})")
         z = np.asarray(target.alphabet, dtype=float)[idx]
     else:
-        data_target, _ = build_discrete_model(cfg["data"]["model"], seed)
+        data_target = build_discrete_model(cfg["data"]["model"], seed)
         z = models.sample_discrete_target(stream_rng(seed, STREAM_DATA), cfg["data"]["n"], data_target)
         z = _with_model_dim("data/model", z, target.dims)
-    report = gof.gof_test(
+    report = dataclasses.asdict(gof.gof_test(
         z, target, alpha=cfg.get("alpha", 0.05), m=cfg.get("m", 1000), seed=seed,
-        surrogate_mode=_discrete_surrogate(cfg, params),
+        surrogate_mode=_discrete_surrogate(cfg),
         kernel=kernels.KernelSpec(cfg.get("kernel_h", kernels.MEDIAN_HEURISTIC)),
-    )
-    metrics = MetricsWriter()
-    metrics.add(0, "statistic", report.statistic)
-    metrics.add(0, "p_value", report.p_value)
-    metrics.add(0, "critical_value", report.critical_value)
-    metrics.write(outdir / "metrics.csv")
-    (outdir / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    return {"report": report.to_dict()}
+    ))
+    for name in ("statistic", "p_value", "critical_value"):
+        out.add(0, name, report[name])
+    out.files["report.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return {"report": report}
 
 
-def run_bbis_cmd(cfg, seed, outdir):
+def run_bbis_cmd(cfg, seed, out):
     target = build_continuous_model(cfg["model"], seed)
     surrogate = build_surrogate(cfg.get("surrogate"), target)
     pts = cfg["points"]
@@ -384,16 +368,14 @@ def run_bbis_cmd(cfg, seed, outdir):
     weights = ksd.bbis_weights(gram, max_iter=cfg.get("max_iter", 10000), tol=cfg.get("tol", 1e-10))
     objective = float(weights @ gram @ weights)
     uniform = np.full(points.shape[0], 1.0 / points.shape[0])
-    metrics = MetricsWriter()
-    metrics.add(0, "objective", objective)
-    metrics.add(0, "objective_uniform", float(uniform @ gram @ uniform))
-    metrics.write(outdir / "metrics.csv")
-    _write_samples(outdir / "samples.csv", np.hstack([points, weights[:, None]]))
+    out.add(0, "objective", objective)
+    out.add(0, "objective_uniform", float(uniform @ gram @ uniform))
+    out.samples = np.hstack([points, weights[:, None]])
     return {"objective": objective, "weighted_mean": (weights @ points).tolist(),
             "uniform_mean": points.mean(axis=0).tolist()}
 
 
-def run_aggregate_cmd(cfg, seed, outdir, threads=1):
+def run_aggregate_cmd(cfg, seed, out, threads=1):
     from . import aggregation  # scipy.stats and scipy.optimize: imported only by this subcommand
 
     methods = tuple(cfg.get("methods", ["kl-naive", "kl-control", "kl-weighted"]))
@@ -411,32 +393,26 @@ def run_aggregate_cmd(cfg, seed, outdir, threads=1):
     rows.sort(key=lambda r: (r["trial"], r["n"], r["method"]))
     rates = ["method,d,n,trial,mse"]
     rates += [f"{r['method']},{r['d']},{r['n']},{r['trial']},{_fmt(r['mse'])}" for r in rows]
-    (outdir / "rates.csv").write_text("\n".join(rates) + "\n")
-    metrics = MetricsWriter()
+    out.files["rates.csv"] = "\n".join(rates) + "\n"
     for r in rows:
-        metrics.add(r["trial"], f"mse_{r['method']}_n{r['n']}", r["mse"])
-    metrics.write(outdir / "metrics.csv")
+        out.add(r["trial"], f"mse_{r['method']}_n{r['n']}", r["mse"])
     summary = {}
     for method in methods:
-        mean_mse = {}
-        for n in cfg["n_grid"]:
-            vals = [r["mse"] for r in rows if r["method"] == method and r["n"] == n]
-            mean_mse[str(n)] = float(np.mean(vals))
+        means = [float(np.mean([r["mse"] for r in rows if r["method"] == method and r["n"] == n]))
+                 for n in cfg["n_grid"]]
+        # a log-log slope needs two sizes and positive means (one machine's linear average can be exact)
         slope = None
-        if len(cfg["n_grid"]) >= 2:
-            slope = aggregation.fit_loglog_slope(cfg["n_grid"], [mean_mse[str(n)] for n in cfg["n_grid"]])
-        summary[method] = {"mean_mse": mean_mse, "slope": slope}
+        if len(means) >= 2 and all(m > 0 for m in means):
+            slope = aggregation.fit_loglog_slope(cfg["n_grid"], means)
+        summary[method] = {"mean_mse": {str(n): m for n, m in zip(cfg["n_grid"], means)}, "slope": slope}
     return {"methods": summary}
 
 
-def run_oracle_cmd(cfg, seed, outdir):
-    metrics = MetricsWriter()
+def run_oracle_cmd(cfg, seed, out):
     if cfg["oracle"] == "brute-force":
-        target, _ = build_discrete_model(cfg["model"], seed)
-        probs = models.brute_force_distribution(target)
+        probs = models.brute_force_distribution(build_discrete_model(cfg["model"], seed))
         for i, p in enumerate(probs):
-            metrics.add(i, "probability", float(p))
-        metrics.write(outdir / "metrics.csv")
+            out.add(i, "probability", float(p))
         return {"n_states": int(probs.size), "max_probability": float(probs.max())}
     target = build_continuous_model(cfg["model"], seed)
     if target.score is None:
@@ -451,8 +427,7 @@ def run_oracle_cmd(cfg, seed, outdir):
         an = target.score(x)
         rel = float(np.linalg.norm(an - fd) / max(np.linalg.norm(fd), 1e-12))
         errs.append(rel)
-        metrics.add(i, "score_rel_err", rel)
-    metrics.write(outdir / "metrics.csv")
+        out.add(i, "score_rel_err", rel)
     return {"max_rel_err": float(np.max(errs)), "points": n_points}
 
 
@@ -498,12 +473,9 @@ def main(argv=None) -> int:
             raise ConfigError(str(exc)) from exc
         validate_config(args.subcommand, config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "aggregate":
-            results = run_aggregate_cmd(config, seed, outdir, args.threads)
-        else:
-            results = RUNNERS[args.subcommand](config, seed, outdir)
+        out = RunOutput()
+        threads = (args.threads,) if args.subcommand == "aggregate" else ()
+        results = RUNNERS[args.subcommand](config, seed, out, *threads)
     except ValueError as exc:  # ConfigError and every other bad-input error
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
@@ -511,8 +483,10 @@ def main(argv=None) -> int:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
 
-    echo = dict(config)
-    echo["seed"] = seed
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    out.write(outdir, config.get("emit_samples", True))
+    echo = {**config, "seed": seed}
     summary = {"subcommand": args.subcommand, "seed": seed, "config": echo, "results": results}
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0

@@ -130,12 +130,15 @@ def kernel_curve_surrogate(
     anchor_points: np.ndarray,
     anchor_logp: np.ndarray,
     h: float,
+    sq: Optional[np.ndarray] = None,
 ) -> ContinuousTarget:
     """Smooth over-dispersed fit of a density from its values at anchor points:
     rho-bar(x) = sum_j p(x_j) exp(-||x_j - x||^2 / h), assembled in log space.
 
     The score is the analytic gradient of that mixture (responsibility-weighted
-    average of 2 (x_j - x) / h).
+    average of 2 (x_j - x) / h).  ``sq`` is ``pairwise_sq_dists(anchors,
+    anchors)`` when the caller already has it; it is used when the surrogate
+    is evaluated at the anchor array itself.
     """
     anchors = np.atleast_2d(np.asarray(anchor_points, dtype=float))
     logp = np.asarray(anchor_logp, dtype=float)
@@ -146,7 +149,8 @@ def kernel_curve_surrogate(
 
     def logits(x):
         # called through the module so that clibench's tracer times it as the kernels layer
-        return logp[None, :] - kernels.pairwise_sq_dists(x, anchors) / h
+        d2 = sq if sq is not None and x is anchors else kernels.pairwise_sq_dists(x, anchors)
+        return logp[None, :] - d2 / h
 
     def log_density(x):
         return logsumexp(logits(x), axis=1)
@@ -230,7 +234,7 @@ def run_agf_svgd(
     def direction(it, x, sq):
         nonlocal surrogate
         h_s = resolve_bandwidth(smoothing, x, sq)
-        surrogate = kernel_curve_surrogate(x, path[it].log_density(x), h_s)
+        surrogate = kernel_curve_surrogate(x, path[it].log_density(x), h_s, sq)
         d, ess = _gf_step(x, sq, path[it], surrogate, kernel, "self-normalized", ess_floor)
         ess_history.append(ess)
         return d

@@ -55,17 +55,6 @@ class TestReport:
     alpha: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "n_bootstrap": self.n_bootstrap,
-            "critical_value": self.critical_value,
-            "p_value": self.p_value,
-            "reject": bool(self.reject),
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
-
 
 def gof_gram(
     z_data: np.ndarray,

@@ -1,12 +1,12 @@
 """Kernelized Stein discrepancy machinery, assembled as Gram matrices.
 
-``stein_gram`` is the score-based Stein kernel matrix kappa_p(x_i, x_j) over
-one point set, ``stein_gram_cross`` its rectangular form between two sets,
-``gf_stein_gram`` the gradient-free importance-weighted matrix
-w_i kappa_rho(x_i, x_j) w_j and ``alpha_stein_gram`` the density-power-weighted
-variant.  U/V statistics are read off a Gram, and black-box importance
-sampling weights solve a simplex-constrained quadratic program in the
-gradient-free Gram.
+``stein_gram`` is the score-based Stein kernel matrix kappa_p(x_i, y_j) between
+two point sets (by default the square Gram over one), ``stein_gram_cross``
+the same given a score function, ``gf_stein_gram`` the gradient-free
+importance-weighted matrix w_i kappa_rho(x_i, x_j) w_j and
+``alpha_stein_gram`` the density-power-weighted variant.  U/V statistics
+are read off a Gram, and black-box importance sampling weights solve a
+simplex-constrained quadratic program in the gradient-free Gram.
 
 For the RBF kernel all derivative terms are analytic; the double-derivative
 trace is k * (2 d / h - 4 ||x - y||^2 / h^2) and that single expression is the
@@ -25,20 +25,38 @@ from .kernels import pairwise_sq_dists
 from .models import ContinuousTarget
 
 
-def stein_gram(points: np.ndarray, scores: np.ndarray, h: float, sq: Optional[np.ndarray] = None) -> np.ndarray:
-    """kappa Gram matrix over one point set given precomputed scores; ``sq``
-    is ``pairwise_sq_dists(points, points)`` when the caller already has it."""
+def stein_gram(
+    points: np.ndarray,
+    scores: np.ndarray,
+    h: float,
+    sq: Optional[np.ndarray] = None,
+    y: Optional[np.ndarray] = None,
+    y_scores: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """kappa matrix kappa_p(x_i, y_j) given precomputed scores at both point
+    sets; ``y`` and ``y_scores`` default to ``points`` and ``scores`` (the
+    square Gram).  ``sq`` is ``pairwise_sq_dists(points, y)`` when the caller
+    already has it."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    s = np.atleast_2d(np.asarray(scores, dtype=float))
-    n, d = x.shape
+    sx = np.atleast_2d(np.asarray(scores, dtype=float))
+    square = y is None
+    if square:
+        y, sy = x, sx
+    else:
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        sy = np.atleast_2d(np.asarray(y_scores, dtype=float))
+    d = x.shape[1]
     if sq is None:
-        sq = pairwise_sq_dists(x, x)
+        sq = pairwise_sq_dists(x, y)
     k = np.exp(-sq / h)
-    a = np.einsum("nd,nd->n", s, x)
-    b = s @ x.T
-    g = (s @ s.T) * k
-    g += (2.0 / h) * k * (a[:, None] - b)
-    g += (2.0 / h) * k * (a[None, :] - b.T)
+    ax = np.einsum("nd,nd->n", sx, x)
+    ay = ax if square else np.einsum("md,md->m", sy, y)
+    b = sx @ y.T
+    # s_y' x_i, which the square Gram reads off b
+    bt = b.T if square else (sy @ x.T).T
+    g = (sx @ sy.T) * k
+    g += (2.0 / h) * k * (ax[:, None] - b)
+    g += (2.0 / h) * k * (ay[None, :] - bt)
     g += k * (2.0 * d / h - 4.0 * sq / h ** 2)
     return g
 
@@ -47,18 +65,7 @@ def stein_gram_cross(x: np.ndarray, y: np.ndarray, score_fn: Callable, h: float)
     """Rectangular kappa matrix between two point sets (used by identity checks)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    sx = np.atleast_2d(np.asarray(score_fn(x), dtype=float))
-    sy = np.atleast_2d(np.asarray(score_fn(y), dtype=float))
-    d = x.shape[1]
-    sq = pairwise_sq_dists(x, y)
-    k = np.exp(-sq / h)
-    ax = np.einsum("nd,nd->n", sx, x)
-    ay = np.einsum("md,md->m", sy, y)
-    g = (sx @ sy.T) * k
-    g += (2.0 / h) * k * (ax[:, None] - sx @ y.T)
-    g += (2.0 / h) * k * (ay[None, :] - (sy @ x.T).T)
-    g += k * (2.0 * d / h - 4.0 * sq / h ** 2)
-    return g
+    return stein_gram(x, score_fn(x), h, y=y, y_scores=score_fn(y))
 
 
 def gf_stein_gram(

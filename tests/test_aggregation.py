@@ -244,6 +244,12 @@ class TestExperimentPlumbing:
         vals = [100.0 / n ** 1.5 for n in ns]
         assert fit_loglog_slope(ns, vals) == pytest.approx(-1.5, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_loglog_slope_rejects_non_positive_values(self, bad):
+        # log(0) would be -inf and the fitted slope NaN, which summary.json cannot hold
+        with pytest.raises(ValueError, match="positive"):
+            fit_loglog_slope([10, 20, 40], [0.5, bad, 0.1])
+
     def test_model_sample_matches_moments(self):
         model = GMMModel(weights=np.array([0.5, 0.5]), means=np.array([[-2.0], [2.0]]),
                          covs=np.ones((2, 1, 1)))

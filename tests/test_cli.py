@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from steinkit.cli import build_discrete_model, main, validate_config
+from steinkit.cli import SUBCOMMANDS, build_discrete_model, main, validate_config
 from steinkit.config_schema import _KERNEL, _SCHEDULE, CONFIG_SCHEMAS
 from steinkit.kernels import KernelSpec
 from steinkit.svgd import StepSchedule
@@ -163,10 +163,47 @@ def test_threads_out_of_range_exits_2_with_one_error_line(tmp_path, capsys, subc
 
 def test_categorical_states_keep_their_own_masses():
     states, masses = [1.0, -1.0, 0.0], [0.7, 0.2, 0.1]
-    target, _ = build_discrete_model({"type": "categorical", "states": states, "masses": masses}, 0)
+    target = build_discrete_model({"type": "categorical", "states": states, "masses": masses}, 0)
     assert target.alphabet == (-1.0, 0.0, 1.0)
     for s, m in zip(states, masses):
         assert target.log_mass(np.array([[s]]))[0] == np.log(m)
+
+
+TINY = {
+    # subcommand: (a tiny config, the files its run writes besides metrics.csv and summary.json)
+    "svgd": ({"model": GAUSS_1D, "n": 5, "iters": 3}, {"samples.csv"}),
+    "gfsvgd": ({"model": GAUSS_1D, "n": 5, "iters": 3}, {"samples.csv"}),
+    "agf-svgd": ({"model": GAUSS_1D, "p0": SPEC_1D, "n": 5, "n_temps": 2}, {"samples.csv"}),
+    "steinis": ({"model": GAUSS_1D, "q0": SPEC_1D, "n_leaders": 5, "n_followers": 5, "iters": 2}, {"samples.csv"}),
+    "path-logz": ({"model": GAUSS_1D, "q0": SPEC_1D, "n": 5, "iters": 2, "m0": 50}, set()),
+    "discrete-sample": ({"model": ISING_2X2, "n": 10, "iters": 2}, {"samples.csv"}),
+    "gof": ({"model": ISING_2X2, "data": {"model": ISING_2X2, "n": 10}, "m": 20}, {"report.json"}),
+    "bbis": ({"model": GAUSS_1D, "points": {**SPEC_1D, "n": 5}, "max_iter": 50}, {"samples.csv"}),
+    "aggregate": ({"dim": 1, "machines": 2, "n_grid": [10], "trials": 1}, {"rates.csv"}),
+    "oracle": ({"oracle": "brute-force", "model": ISING_2X2}, set()),
+}
+
+
+@pytest.mark.parametrize("subcommand, emit_samples", [(s, None) for s in SUBCOMMANDS] + [
+    (s, False) for s in SUBCOMMANDS if "emit_samples" in CONFIG_SCHEMAS[s]["properties"]])
+def test_each_run_writes_its_files(tmp_path, subcommand, emit_samples):
+    cfg, files = TINY[subcommand]
+    if emit_samples is not None:
+        cfg, files = {**cfg, "emit_samples": emit_samples}, files - {"samples.csv"}
+    rc = run_cli([subcommand, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert {p.name for p in (tmp_path / "o").iterdir()} == {"metrics.csv", "summary.json"} | files
+
+
+@pytest.mark.parametrize("subcommand, cfg, code", [
+    ("discrete-sample", {"model": ISING_2X2, "n": 10, "iters": 2, "surrogate_mode": "exact"}, 2),
+    ("gof", {"model": ISING_2X2, "data": {"model": {**ISING_2X2, "cols": 1}, "n": 10}}, 2),
+    ("svgd", {"model": GAUSS_1D, "n": 5, "iters": 3, "schedule": {"mode": "constant", "eps": 1e9}}, 3),
+])
+def test_a_failed_run_writes_no_file(tmp_path, capsys, subcommand, cfg, code):
+    rc = run_cli([subcommand, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
+    assert rc == code
+    assert not list((tmp_path / "o").glob("*"))
 
 
 class TestDeterminismAndReduction:
@@ -286,6 +323,20 @@ class TestSubcommands:
         assert run_cli(["aggregate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         assert run_cli(["aggregate", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", "3"]) == 0
         assert (tmp_path / "a" / "rates.csv").read_bytes() == (tmp_path / "b" / "rates.csv").read_bytes()
+
+    def test_aggregate_slope_is_null_at_a_zero_mean_mse(self, tmp_path):
+        # one machine's linear average is the exact KL optimum, so its MSE is 0 at every size
+        cfg = write_config(tmp_path, "c.json", {"dim": 1, "machines": 1, "n_grid": [1, 2], "trials": 1,
+                                                "methods": ["linear", "kl-naive"]})
+        assert run_cli(["aggregate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "o" / "summary.json").read_text()
+        methods = json.loads(text, parse_constant=reject)["results"]["methods"]
+        assert methods["linear"]["mean_mse"] == {"1": 0.0, "2": 0.0}
+        assert methods["linear"]["slope"] is None
 
     def test_aggregate_known_covariance_needs_no_covariance_draw(self, tmp_path):
         # the big_n bound protects the Wishart draw, which a known covariance skips

@@ -157,8 +157,8 @@ def _disagreeing_keys(subcommand, cfg, rows):
         if subcommand == "gof":
             if "model" not in cfg["data"]:
                 return set()
-            dim = build_discrete_model(cfg["model"], 0)[0].dims
-            sizes = {"data/model": build_discrete_model(cfg["data"]["model"], 0)[0].dims}
+            dim = build_discrete_model(cfg["model"], 0).dims
+            sizes = {"data/model": build_discrete_model(cfg["data"]["model"], 0).dims}
         else:
             sizes = {f"{key}/mu": len(cfg[key]["mu"]) for key in SPEC_KEYS.get(subcommand, ())
                      if "mu" in cfg.get(key, {})}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinkit import kernels
 from steinkit.errors import DegenerateWeightsError, MissingScoreError
 from steinkit.gfsvgd import (
     effective_sample_size,
@@ -152,6 +153,28 @@ class TestKernelCurveSurrogate:
         anchors = np.array([[-2.0], [2.0]])
         s = kernel_curve_surrogate(anchors, np.array([0.3, 0.3]), h=1.0)
         assert np.allclose(s.score(np.zeros(1)), 0.0, atol=1e-14)
+
+    def test_anchor_distances_give_the_same_bits(self):
+        rng = stream_rng(32, 1)
+        anchors = rng.standard_normal((30, 3))
+        logp = rng.standard_normal(30)
+        plain = kernel_curve_surrogate(anchors, logp, h=1.5)
+        reused = kernel_curve_surrogate(anchors, logp, h=1.5, sq=kernels.pairwise_sq_dists(anchors, anchors))
+        for x in (anchors, rng.standard_normal((7, 3))):
+            assert np.array_equal(plain.log_density(x), reused.log_density(x))
+            assert np.array_equal(plain.score(x), reused.score(x))
+
+    def test_agf_builds_one_distance_matrix_per_temperature(self, monkeypatch):
+        # the loop's matrix serves the bandwidths, the surrogate at the particles and the direction
+        calls = []
+        real = kernels.pairwise_sq_dists
+        monkeypatch.setattr(kernels, "pairwise_sq_dists", lambda x, y: calls.append(1) or real(x, y))
+        seen = []
+        run_agf_svgd(gaussian_target(np.zeros(2), 1.0), gaussian_target(np.zeros(2), 4.0),
+                     np.linspace(0.0, 1.0, 5), 20, KernelSpec(), StepSchedule(mode="constant", eps=0.1),
+                     stream_rng(36, 0), gaussian_sampler(np.zeros(2), 2.0),
+                     callback=lambda ensemble: seen.append(len(calls)))
+        assert np.diff(seen).tolist() == [1, 1, 1, 1]
 
 
 class TestImportanceWeightedSteinIdentity:

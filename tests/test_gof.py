@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,8 +137,8 @@ class TestReportInvariants:
     def test_seed_reproducibility(self):
         t = three_state_target()
         z = sample_discrete_target(stream_rng(73, 2), 50, t)
-        a = self._run(z, t, seed=12).to_dict()
-        b = self._run(z, t, seed=12).to_dict()
+        a = dataclasses.asdict(self._run(z, t, seed=12))
+        b = dataclasses.asdict(self._run(z, t, seed=12))
         assert a == b
 
 

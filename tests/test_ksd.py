@@ -76,6 +76,19 @@ class TestSteinKernel:
             for j in range(6):
                 assert gram[i, j] == pytest.approx(five_term_oracle(x[i], x[j], p, p_log, p, p_log, 1.3), rel=1e-12)
 
+    def test_square_gram_is_the_two_set_form_at_one_set(self):
+        # the square Gram reuses s x' for both cross terms; the two-set form builds each
+        x = stream_rng(41, 4).standard_normal((15, 3))
+        s = std_normal_score(x)
+        assert np.array_equal(stein_gram(x, s, 0.9), stein_gram(x, s, 0.9, y=x, y_scores=s))
+
+    def test_cross_gram_is_a_block_of_the_stacked_gram(self):
+        rng = stream_rng(41, 5)
+        x, y = rng.standard_normal((7, 2)), rng.standard_normal((4, 2))
+        stacked = np.vstack([x, y])
+        square = stein_gram(stacked, std_normal_score(stacked), 1.2)
+        assert stein_gram_cross(x, y, std_normal_score, 1.2) == pytest.approx(square[:7, 7:], rel=1e-12, abs=1e-14)
+
     def test_stein_identity_monte_carlo(self):
         # E_{x~N(0,1)} kappa_p(x, y0) = 0, checked with 1e6 draws
         rng = stream_rng(41, 3)
