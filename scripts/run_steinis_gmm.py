@@ -17,11 +17,9 @@ from steinkit.rngs import stream_rng
 def make_target(seed: int):
     rng = stream_rng(seed, 99)
     means = rng.uniform(-1.0, 1.0, size=(10, 2))
-    base = models.gmm_target(np.full(10, 0.1), means, 1.0)
-    const = np.log(2.0) - np.log(2.0 * np.pi)  # exact normalization + log 2
-    return models.ContinuousTarget(
-        dim=2, log_density=lambda x: base.log_density(x) + const, score=base.score
-    ), means.mean(axis=0)
+    # exact normalization + log 2
+    target = models.gmm_target(np.full(10, 0.1), means, 1.0, log_scale=np.log(2.0) - np.log(2.0 * np.pi))
+    return target, means.mean(axis=0)
 
 
 def main():

@@ -21,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 from scipy.stats import wishart
 
+from . import kernels
 from .rngs import stream_rng
 
 RIDGE = 1e-8
@@ -143,7 +144,7 @@ def _gaussian_mle(x: np.ndarray, sample_weights: Optional[np.ndarray] = None) ->
 def _kmeans_style_init(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Responsibility init: nearest of m distinct seed points."""
     centers = x[rng.choice(x.shape[0], size=m, replace=False)]
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = kernels.pairwise_sq_dists(x, centers)
     resp = np.zeros((x.shape[0], m))
     resp[np.arange(x.shape[0]), d2.argmin(axis=1)] = 1.0
     return resp

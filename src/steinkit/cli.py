@@ -117,18 +117,9 @@ def build_schedule(spec: Optional[dict]) -> svgd.StepSchedule:
 
 
 def _gmm_model(weights, means, sigma, log_scale=0.0, normalized=False) -> models.ContinuousTarget:
-    base = models.gmm_target(weights, means, sigma)
-    const = float(log_scale)
     if normalized:
-        d = np.atleast_2d(means).shape[1]
-        const -= 0.5 * d * np.log(2.0 * np.pi * sigma)
-    if const == 0.0:
-        return base
-    return models.ContinuousTarget(
-        dim=base.dim,
-        log_density=lambda x, _c=const: base.log_density(x) + _c,
-        score=base.score,
-    )
+        log_scale -= 0.5 * np.atleast_2d(means).shape[1] * np.log(2.0 * np.pi * sigma)
+    return models.gmm_target(weights, means, sigma, log_scale)
 
 
 def build_continuous_model(spec: dict, seed: int) -> models.ContinuousTarget:
@@ -382,14 +373,11 @@ def run_aggregate_cmd(cfg, seed, out, threads=1):
     common = dict(n_machines=cfg["machines"], dim=cfg["dim"], n_grid=cfg["n_grid"],
                   n_trials=cfg["trials"], seed=seed, big_n=cfg.get("big_n", 6e7), methods=methods,
                   known_covariance=cfg.get("known_covariance", False))
-    if threads > 1:
-        chunks = np.array_split(np.arange(cfg["trials"]), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(aggregation.gaussian_rate_experiment, trial_indices=chunk.tolist(), **common)
-                       for chunk in chunks if chunk.size]
-            rows = [row for fut in futures for row in fut.result()]
-    else:
-        rows = aggregation.gaussian_rate_experiment(**common)
+    chunks = np.array_split(np.arange(cfg["trials"]), threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(aggregation.gaussian_rate_experiment, trial_indices=chunk.tolist(), **common)
+                   for chunk in chunks if chunk.size]
+        rows = [row for fut in futures for row in fut.result()]
     rows.sort(key=lambda r: (r["trial"], r["n"], r["method"]))
     rates = ["method,d,n,trial,mse"]
     rates += [f"{r['method']},{r['d']},{r['n']},{r['trial']},{_fmt(r['mse'])}" for r in rows]
@@ -473,22 +461,28 @@ def main(argv=None) -> int:
             raise ConfigError(str(exc)) from exc
         validate_config(args.subcommand, config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
+        # before the run: the nearest existing path at or above --out must be a directory
+        outdir = Path(args.out)
+        existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"{existing} is not a directory")
         out = RunOutput()
         threads = (args.threads,) if args.subcommand == "aggregate" else ()
         results = RUNNERS[args.subcommand](config, seed, out, *threads)
+        outdir.mkdir(parents=True, exist_ok=True)
+        out.write(outdir, config.get("emit_samples", True))
+        echo = {**config, "seed": seed}
+        summary = {"subcommand": args.subcommand, "seed": seed, "config": echo, "results": results}
+        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     except ValueError as exc:  # ConfigError and every other bad-input error
         print(f"error: config: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the config and data files raise ConfigError, so this is --out's
+        print(f"error: config: --out {args.out}: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out.write(outdir, config.get("emit_samples", True))
-    echo = {**config, "seed": seed}
-    summary = {"subcommand": args.subcommand, "seed": seed, "config": echo, "results": results}
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
 

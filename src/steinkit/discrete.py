@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -177,19 +177,15 @@ def sample_discrete(
     kernel: KernelSpec,
     schedule: StepSchedule,
     rng: np.random.Generator,
-    init_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None,
     temperature: float = 10.0,
 ) -> DiscreteSampleResult:
     """Draw approximate samples from a discrete target via GF-SVGD on p_c.
 
     ``surrogate_mode`` is as in ``resolve_surrogate``.  Particles start from
-    the standard-normal base unless ``init_sampler`` overrides, and the final
-    particles map to states through the quantile bins.
+    the standard-normal base, and the final particles map to states through
+    the quantile bins.
     """
     surrogate = resolve_surrogate(surrogate_mode, target, temperature)
-    if init_sampler is None:
-        def init_sampler(r, m):
-            return r.standard_normal((m, target.dims))
     result = run_gf_svgd(
         target=pc_target(target),
         surrogate=surrogate,
@@ -199,7 +195,7 @@ def sample_discrete(
         schedule=schedule,
         weight_mode="self-normalized",
         rng=rng,
-        init_sampler=init_sampler,
+        init_sampler=lambda r, m: r.standard_normal((m, target.dims)),
     )
     states = gamma_map(result.ensemble.positions, target)
     return DiscreteSampleResult(states=states, continuous=result)

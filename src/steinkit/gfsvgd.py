@@ -15,10 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from . import kernels
 from .errors import DegenerateWeightsError, MissingScoreError
 from .kernels import KernelSpec, median_bandwidth, resolve_bandwidth  # noqa: F401  (median_bandwidth: clibench tracer)
-from .models import ContinuousTarget, _rowwise
+from .models import ContinuousTarget, mixture_target
 from .svgd import (  # noqa: F401  (apply_direction stays importable here for the clibench tracer)
     ParticleEnsemble,
     StepSchedule,
@@ -133,35 +132,16 @@ def kernel_curve_surrogate(
     sq: Optional[np.ndarray] = None,
 ) -> ContinuousTarget:
     """Smooth over-dispersed fit of a density from its values at anchor points:
-    rho-bar(x) = sum_j p(x_j) exp(-||x_j - x||^2 / h), assembled in log space.
+    rho-bar(x) = sum_j p(x_j) exp(-||x_j - x||^2 / h), the isotropic Gaussian
+    mixture with log-weights log p(x_j) and variance h / 2.
 
-    The score is the analytic gradient of that mixture (responsibility-weighted
-    average of 2 (x_j - x) / h).  ``sq`` is ``pairwise_sq_dists(anchors,
-    anchors)`` when the caller already has it; it is used when the surrogate
-    is evaluated at the anchor array itself.
+    ``sq`` is ``pairwise_sq_dists(anchors, anchors)`` when the caller already
+    has it; it is used when the surrogate is evaluated at the anchor array
+    itself.
     """
-    anchors = np.atleast_2d(np.asarray(anchor_points, dtype=float))
-    logp = np.asarray(anchor_logp, dtype=float)
-    if anchors.shape[0] != logp.size:
-        raise ValueError("anchor point and log-density counts differ")
     if not h > 0:
         raise ValueError("smoothing bandwidth h must be > 0")
-
-    def logits(x):
-        # called through the module so that clibench's tracer times it as the kernels layer
-        d2 = sq if sq is not None and x is anchors else kernels.pairwise_sq_dists(x, anchors)
-        return logp[None, :] - d2 / h
-
-    def log_density(x):
-        return logsumexp(logits(x), axis=1)
-
-    def score(x):
-        lg = logits(x)
-        r = np.exp(lg - logsumexp(lg, axis=1, keepdims=True))
-        # sum_j r_j (x_j - x) without an (n, m, d) temporary; einsum keeps each row self-contained
-        return (2.0 / h) * (np.einsum("nm,md->nd", r, anchors) - x * r.sum(axis=1)[:, None])
-
-    return ContinuousTarget(dim=anchors.shape[1], log_density=_rowwise(log_density), score=_rowwise(score))
+    return mixture_target(anchor_logp, anchor_points, h / 2.0, sq)
 
 
 @dataclass(frozen=True)

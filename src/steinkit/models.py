@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logsumexp, softmax
 
+from . import kernels
 from .errors import StateSpaceTooLargeError
 
 BRUTE_FORCE_CAP = 2 ** 20
@@ -145,26 +146,28 @@ def gaussian_target(mu: np.ndarray, sigma: float) -> ContinuousTarget:
     return ContinuousTarget(dim=mu.size, log_density=_rowwise(logp), score=_rowwise(score))
 
 
-def gmm_target(weights: np.ndarray, means: Sequence[np.ndarray], sigma: float) -> ContinuousTarget:
-    """Mixture of isotropic Gaussians with shared per-coordinate variance sigma."""
-    weights = np.asarray(weights, dtype=float)
+def mixture_target(log_weights: np.ndarray, means: np.ndarray, sigma: float,
+                   sq: Optional[np.ndarray] = None) -> ContinuousTarget:
+    """Isotropic Gaussian mixture with unnormalized log-weights and shared
+    per-coordinate variance ``sigma``:
+    log p-bar(x) = logsumexp_i(log w_i - ||x - mu_i||^2 / (2 sigma)).
+
+    ``sq`` is ``pairwise_sq_dists(means, means)`` when the caller already has
+    it; it is used when the mixture is evaluated at the ``means`` array itself.
+    """
+    logw = np.asarray(log_weights, dtype=float)
     means = np.atleast_2d(np.asarray(means, dtype=float))
-    if weights.size == 0 or means.shape[0] == 0:
-        raise ValueError("mixture must have at least one component")
-    if weights.size != means.shape[0]:
-        raise ValueError(f"{weights.size} mixture weights for {means.shape[0]} component means")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    if logw.size == 0 or logw.size != means.shape[0]:
+        raise ValueError(f"a mixture needs one weight per component and at least one component: "
+                         f"{logw.size} mixture weights for {means.shape[0]} component means")
     if not sigma > 0:
         raise ValueError("sigma must be > 0")
-    logw = np.log(np.maximum(weights, 1e-300))
 
     def softmax_parts(x):
-        # logits log w_i - ||x - mu_i||^2 / (2 sigma) (shared constants dropped),
-        # shifted by their row maximum: returns (row max, exp of the shifted
-        # logits, their row sum); a plain numpy logsumexp, without scipy's
-        # array-API dispatch on every call
-        d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        # (row max, exp of the logits shifted by it, their row sum): a plain numpy
+        # logsumexp, without scipy's array-API dispatch on every call.  Distances go
+        # through the module so that clibench's tracer times them as the kernels layer.
+        d2 = sq if sq is not None and x is means else kernels.pairwise_sq_dists(x, means)
         logits = logw[None, :] - d2 / (2.0 * sigma)
         top = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - top)
@@ -175,10 +178,22 @@ def gmm_target(weights: np.ndarray, means: Sequence[np.ndarray], sigma: float) -
         return (top + np.log(total))[:, 0]
 
     def score(x):
+        # sum_i r_i (mu_i - x) / sigma without an (n, m, d) temporary
         _, e, total = softmax_parts(x)
-        return np.einsum("nm,nmd->nd", e / total, means[None, :, :] - x[:, None, :]) / sigma
+        r = e / total
+        return (r @ means - x * r.sum(axis=1, keepdims=True)) / sigma
 
     return ContinuousTarget(dim=means.shape[1], log_density=_rowwise(logp), score=_rowwise(score))
+
+
+def gmm_target(weights: np.ndarray, means: Sequence[np.ndarray], sigma: float,
+               log_scale: float = 0.0) -> ContinuousTarget:
+    """Mixture of isotropic Gaussians with shared per-coordinate variance
+    sigma and simplex weights; the log density is shifted by ``log_scale``."""
+    weights = np.asarray(weights, dtype=float)
+    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must be nonnegative and sum to 1")
+    return mixture_target(np.log(np.maximum(weights, 1e-300)) + log_scale, means, sigma)
 
 
 def _log2cosh(t: np.ndarray) -> np.ndarray:
@@ -223,10 +238,7 @@ def gauss_bernoulli_rbm_mixture(params: GaussBernoulliRBMParams):
 
 def sample_gauss_bernoulli_rbm(rng: np.random.Generator, n: int, params: GaussBernoulliRBMParams) -> np.ndarray:
     mus, logw = gauss_bernoulli_rbm_mixture(params)
-    p = np.exp(logw - logsumexp(logw))
-    p /= p.sum()
-    idx = rng.choice(len(p), size=n, p=p)
-    return mus[idx] + rng.standard_normal((n, params.b.size))
+    return sample_gmm(rng, n, softmax(logw), mus, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,7 @@ def _two_x_gmm_target(seed):
     """2D ten-component GMM scaled so the normalization constant is exactly 2."""
     rng = stream_rng(seed, 99)
     means = rng.uniform(-1.0, 1.0, size=(10, 2))
-    base = models.gmm_target(np.full(10, 0.1), means, 1.0)
-    const = np.log(2.0) - np.log(2.0 * np.pi)
-    target = models.ContinuousTarget(
-        dim=2, log_density=lambda x: base.log_density(x) + const, score=base.score
-    )
+    target = models.gmm_target(np.full(10, 0.1), means, 1.0, log_scale=np.log(2.0) - np.log(2.0 * np.pi))
     return target, means.mean(axis=0)
 
 

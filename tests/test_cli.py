@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from steinkit.cli import SUBCOMMANDS, build_discrete_model, main, validate_config
+from steinkit import cli
+from steinkit.cli import SUBCOMMANDS, build_continuous_model, build_discrete_model, main, validate_config
 from steinkit.config_schema import _KERNEL, _SCHEDULE, CONFIG_SCHEMAS
 from steinkit.kernels import KernelSpec
 from steinkit.svgd import StepSchedule
@@ -204,6 +205,47 @@ def test_a_failed_run_writes_no_file(tmp_path, capsys, subcommand, cfg, code):
     rc = run_cli([subcommand, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])
     assert rc == code
     assert not list((tmp_path / "o").glob("*"))
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch, below):
+    # an existing file, or a path below one (a permission-denied directory cannot be set up as root)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    calls = []
+    monkeypatch.setattr(cli, "RUNNERS", {"svgd": lambda *args: calls.append(args) or {}})
+    cfg = write_config(tmp_path, "c.json", TINY["svgd"][0])
+    rc = run_cli(["svgd", "--config", cfg, "--out", str(afile / below)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: config: --out"), err
+    assert afile.read_text() == "kept\n"
+    assert calls == []
+
+
+def test_a_failed_write_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(self, outdir, emit_samples):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.RunOutput, "write", refuse)
+    rc = run_cli(["svgd", "--config", write_config(tmp_path, "c.json", TINY["svgd"][0]), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: config: --out"), err
+
+
+@pytest.mark.parametrize("means", [[[-1.0], [2.5]], [[-1.0, 0.5], [1.5, -0.5]]])
+def test_a_normalized_gmm_integrates_to_its_scale(means):
+    # trapezoid quadrature over a grid wide enough that the tails are below 1e-12
+    c = 0.7
+    spec = {"type": "gmm", "weights": [0.3, 0.7], "means": means, "sigma": 0.8, "normalized": True, "log_scale": c}
+    target = build_continuous_model(spec, 0)
+    axis = np.linspace(-10.0, 10.0, 801)
+    grid = np.stack(np.meshgrid(*[axis] * target.dim, indexing="ij"), axis=-1)
+    dens = np.exp(target.log_density(grid.reshape(-1, target.dim))).reshape(grid.shape[:-1])
+    for _ in range(target.dim):
+        dens = np.trapezoid(dens, axis, axis=0)
+    assert abs(dens / np.exp(c) - 1.0) <= 1e-6
 
 
 class TestDeterminismAndReduction:

@@ -21,6 +21,7 @@ from steinkit.models import (
     gmm_target,
     grid_ising,
     ising_target,
+    mixture_target,
     random_gauss_bernoulli_rbm,
     sample_discrete_target,
 )
@@ -152,6 +153,16 @@ class TestGaussBernoulliRBM:
 
         x = sample_gauss_bernoulli_rbm(stream_rng(7, 1), 200000, params)
         assert np.allclose(x.mean(axis=0), mean, atol=0.02)
+
+    def test_mixture_form_is_the_marginal(self):
+        # the ordering tests read the true mean off this mixture form
+        params = random_gauss_bernoulli_rbm(stream_rng(8, 0), dim=3, hidden=5)
+        mus, logw = gauss_bernoulli_rbm_mixture(params)
+        t, m = gauss_bernoulli_rbm_target(params), mixture_target(logw, mus, 1.0)
+        xs = 2.0 * stream_rng(8, 1).standard_normal((20, 3))
+        assert np.max(np.abs(t.score(xs) - m.score(xs))) <= 1e-10
+        offsets = t.log_density(xs) - m.log_density(xs)
+        assert np.max(np.abs(offsets - offsets[0])) <= 1e-10
 
 
 class TestIsing:
