@@ -87,8 +87,9 @@ def stein_direction(
     with the RBF gradient expanded analytically.  ``sq`` is
     ``pairwise_sq_dists(src_positions, eval_positions)`` when the caller
     already has it.  Each output row is a self-contained reduction over the
-    source axis, so evaluating the field on subsets of points yields
-    bit-identical rows.
+    source axis, so evaluating the field on subsets of two or more points
+    yields bit-identical rows (a one-point set is summed in another order).
+    The reductions write (d, m) arrays, so their loops run along the points.
     """
     x = src_positions
     y = x if eval_positions is None else eval_positions
@@ -98,9 +99,9 @@ def stein_direction(
     wk = np.divide(sq, -h)
     np.exp(wk, out=wk)
     wk *= weights[:, None]
-    drive = np.einsum("ji,jd->id", wk, src_scores)
+    drive = np.einsum("ji,jd->di", wk, src_scores).T
     colsum = np.einsum("ji->i", wk)
-    cross = np.einsum("ji,jd->id", wk, x)
+    cross = np.einsum("ji,jd->di", wk, x).T
     repulse = (2.0 / h) * (y * colsum[:, None] - cross)
     return (drive + repulse) / normalizer
 

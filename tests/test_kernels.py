@@ -99,10 +99,13 @@ class TestPairwiseSqDists:
     # budget; the others cover one block, several blocks, and block remainders.
     # d <= FEW_COORDS fills the differences per coordinate: (300, 300, 4) and
     # (250, 170, 3) take several blocks that way, (100, 100, 5) is at the
-    # cutoff and (100, 100, 6) just past it
+    # cutoff and (100, 100, 6) just past it.  Past it, (200, 77, 7) and
+    # (3, 1000, 9) are one-block cross calls, and (700, 300, 7) and
+    # (450, 450, 8) take several blocks with a remainder, either way round
     SHAPES = [(1, 1, 1), (2, 2, 3), (29, 29, 4500), (30, 30, 4500), (31, 31, 4500), (500, 500, 9),
               (501, 501, 9), (257, 129, 33), (1000, 3, 2), (3, 1000, 2), (1000, 1000, 1),
-              (300, 300, 4), (250, 170, 3), (100, 100, 5), (100, 100, 6)]
+              (300, 300, 4), (250, 170, 3), (100, 100, 5), (100, 100, 6),
+              (200, 77, 7), (3, 1000, 9), (700, 300, 7), (450, 450, 8)]
 
     @pytest.mark.parametrize("n, m, d", SHAPES)
     def test_bit_identical_to_one_shot_broadcast(self, n, m, d):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steinkit.errors import DivergenceError, MissingScoreError
-from steinkit.kernels import KernelSpec, median_bandwidth
+from steinkit.kernels import KernelSpec, median_bandwidth, pairwise_sq_dists
 from steinkit.ksd import stein_gram, v_statistic_from_gram
 from steinkit.models import ContinuousTarget, gaussian_sampler, gaussian_target, gmm_target, sample_gmm
 from steinkit.rngs import stream_rng
@@ -56,6 +56,30 @@ class TestDirection:
         t = ContinuousTarget(dim=1, log_density=lambda x: -np.atleast_2d(x)[:, 0] ** 2, score=None)
         with pytest.raises(MissingScoreError):
             svgd_direction(np.zeros((2, 1)), t, KERN)
+
+
+def id_layout_direction(x, s, w, z, h, y):
+    """``stein_direction`` with its reductions written as (m, d) arrays, the
+    layout it used before its loops ran along the points."""
+    wk = np.exp(-pairwise_sq_dists(x, y) / h) * w[:, None]
+    drive = np.einsum("ji,jd->id", wk, s)
+    colsum = np.einsum("ji->i", wk)
+    cross = np.einsum("ji,jd->id", wk, x)
+    return (drive + (2.0 / h) * (y * colsum[:, None] - cross)) / z
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 9, 25])
+@pytest.mark.parametrize("n", [1, 2, 3, 70])
+def test_direction_bit_identical_to_id_layout(n, d):
+    # m = 1 is the one-row set: it matches the oracle on that row, not a row of the whole
+    gen = np.random.default_rng(100 * n + d)
+    x, s = gen.standard_normal((n, d)), gen.standard_normal((n, d))
+    w, h = gen.uniform(0.1, 3.0, n), 0.7 * d
+    assert np.array_equal(stein_direction(x, s, w, 2.5, h), id_layout_direction(x, s, w, 2.5, h, x))
+    for m in (1, 2, 3, 65):
+        y = 1.5 * gen.standard_normal((m, d))
+        assert np.array_equal(stein_direction(x, s, w, 2.5, h, eval_positions=y),
+                              id_layout_direction(x, s, w, 2.5, h, y))
 
 
 class TestStep:
