@@ -12,7 +12,7 @@ bootstrap re-estimate.  The naive estimator's bootstrap error decays like
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +32,6 @@ LOG_RATIO_CLIP = 30.0
 class GaussianModel:
     mean: np.ndarray
     cov: np.ndarray
-    machine: int = 0
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -52,7 +51,6 @@ class GMMModel:
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    machine: int = 0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -76,13 +74,6 @@ class GMMModel:
 
 
 LocalModel = Union[GaussianModel, GMMModel]
-
-
-@dataclass(frozen=True)
-class AggregationResult:
-    method: str
-    model: LocalModel
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +192,6 @@ def local_mle(
     family: str = "gaussian",
     n_components: int = 1,
     rng: Optional[np.random.Generator] = None,
-    machine: int = 0,
 ) -> LocalModel:
     """Fit one machine's model: Gaussian closed form, or GMM by seeded EM."""
     x = np.atleast_2d(np.asarray(data, dtype=float))
@@ -209,15 +199,15 @@ def local_mle(
         if x.shape[0] <= x.shape[1]:
             raise ValueError("Gaussian MLE needs more samples than dimensions")
         mean, cov = _gaussian_mle(x)
-        return GaussianModel(mean=mean, cov=cov, machine=machine)
+        return GaussianModel(mean=mean, cov=cov)
     if family == "gmm":
         if n_components == 1:
             mean, cov = _gaussian_mle(x)
-            return GMMModel(weights=np.ones(1), means=mean[None, :], covs=cov[None, :, :], machine=machine)
+            return GMMModel(weights=np.ones(1), means=mean[None, :], covs=cov[None, :, :])
         if rng is None:
             raise ValueError("GMM fitting needs an rng for the seeded init")
         fit = _gmm_em(x, n_components, rng)
-        return GMMModel(weights=fit.weights, means=fit.means, covs=fit.covs, machine=machine)
+        return GMMModel(weights=fit.weights, means=fit.means, covs=fit.covs)
     raise ValueError(f"unknown family: {family!r}")
 
 
@@ -342,13 +332,13 @@ def _bootstrap_fits(
     if "kl-weighted" in methods:
         fits["kl-weighted"] = _fit(models[0], pooled, rng, _ratio_weights(models, refits, boots), cov)
     if "linear" in methods:
-        linear = linear_average(models).model
+        linear = linear_average(models)
         fits["linear"] = GaussianModel(mean=linear.mean, cov=cov) if mean_only else linear
     return {method: fit for method, fit in fits.items() if method in methods}
 
 
 def kl_average(method: str, local_models: Sequence[LocalModel], n_bootstrap: int,
-               rng: np.random.Generator) -> AggregationResult:
+               rng: np.random.Generator) -> LocalModel:
     """KL-averaging of the local models from ``n_bootstrap`` parametric-bootstrap
     draws per machine, by one of three estimators (``method``):
 
@@ -360,14 +350,15 @@ def kl_average(method: str, local_models: Sequence[LocalModel], n_bootstrap: int
       carries the density ratio p(x | theta-hat_k) / p(x | theta-tilde_k) as a
       multiplicative weight.  With theta-tilde = theta-hat the ratios are
       identically 1 and the estimator reduces to the naive one exactly.
+
+    Returns the fitted model.
     """
     if method not in ("kl-naive", "kl-control", "kl-weighted"):
         raise ValueError(f"unknown KL-averaging method: {method!r}")
     if n_bootstrap < 1:
         raise ValueError("need at least one bootstrap draw per machine")
     boots = _draw_bootstrap(local_models, n_bootstrap, rng)
-    model = _bootstrap_fits(local_models, boots, rng, (method,))[method]
-    return AggregationResult(method, model, {"n_bootstrap": n_bootstrap, "machines": len(local_models)})
+    return _bootstrap_fits(local_models, boots, rng, (method,))[method]
 
 
 def symmetric_kl_gaussians(m1: np.ndarray, c1: np.ndarray, m2: np.ndarray, c2: np.ndarray) -> float:
@@ -403,7 +394,7 @@ def match_components(gmm_models: Sequence[GMMModel]) -> list[np.ndarray]:
     return perms
 
 
-def linear_average(local_models: Sequence[LocalModel]) -> AggregationResult:
+def linear_average(local_models: Sequence[LocalModel]) -> LocalModel:
     """Parameter-wise mean; GMM components are matched to the first model first.
 
     Requires identical parameterizations across machines (same family and, for
@@ -413,14 +404,13 @@ def linear_average(local_models: Sequence[LocalModel]) -> AggregationResult:
     if all(isinstance(m, GaussianModel) for m in local_models):
         mean = np.mean([m.mean for m in local_models], axis=0)
         cov = np.mean([m.cov for m in local_models], axis=0)
-        return AggregationResult("linear", GaussianModel(mean=mean, cov=cov), {"machines": len(local_models)})
+        return GaussianModel(mean=mean, cov=cov)
     if all(isinstance(m, GMMModel) for m in local_models):
         perms = match_components(local_models)
         weights = np.mean([m.weights[p] for m, p in zip(local_models, perms)], axis=0)
         means = np.mean([m.means[p] for m, p in zip(local_models, perms)], axis=0)
         covs = np.mean([m.covs[p] for m, p in zip(local_models, perms)], axis=0)
-        model = GMMModel(weights=weights / weights.sum(), means=means, covs=covs)
-        return AggregationResult("linear", model, {"machines": len(local_models)})
+        return GMMModel(weights=weights / weights.sum(), means=means, covs=covs)
     raise ValueError("linear averaging needs identically parameterized models")
 
 
@@ -449,7 +439,7 @@ def _draw_asymptotic_local_models(
             cov = np.eye(dim)
         else:
             cov = wishart.rvs(df=int(m_per) - 1, scale=np.eye(dim) / m_per, random_state=rng)
-        models.append(GaussianModel(mean=mean, cov=cov, machine=k))
+        models.append(GaussianModel(mean=mean, cov=cov))
     return models
 
 

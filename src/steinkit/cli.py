@@ -66,7 +66,7 @@ class RunOutput:
         lines += [f"{i},{m},{_fmt(v)}" for i, m, v in self.rows]
         (outdir / "metrics.csv").write_text("\n".join(lines) + "\n")
         if self.samples is not None and emit_samples:
-            rows = [",".join(_fmt(v) for v in row) for row in np.atleast_2d(self.samples)]
+            rows = [",".join(_fmt(v) for v in row) for row in self.samples]
             (outdir / "samples.csv").write_text("\n".join(rows) + "\n")
         for name, text in self.files.items():
             (outdir / name).write_text(text)
@@ -166,10 +166,7 @@ def build_discrete_model(spec: dict, seed: int) -> models.DiscreteTarget:
         log_masses = np.log(masses[first])
 
         def log_mass(z):
-            z2 = np.atleast_2d(z)
-            idx = np.searchsorted(states, z2[:, 0])
-            out = log_masses[np.clip(idx, 0, states.size - 1)]
-            return out if np.asarray(z).ndim > 1 else out[0]
+            return log_masses[np.clip(np.searchsorted(states, z[:, 0]), 0, states.size - 1)]
 
         return models.DiscreteTarget(dims=1, alphabet=tuple(float(s) for s in states), log_mass=log_mass)
     raise ConfigError(f"not a discrete model: {kind!r}")
@@ -213,12 +210,17 @@ def _trace_callback(out: RunOutput, cfg: dict, total: int):
     return cb
 
 
-def _particle_results(out: RunOutput, cfg: dict, x: np.ndarray, ess_history=(), **results) -> dict:
-    """The tail of the particle samplers: an ESS row every ``metric_every``
-    steps, the particles as samples, and their mean and second moment
-    besides the runner's own ``results``."""
+def _ess_rows(out: RunOutput, cfg: dict, ess_history) -> None:
+    """An ESS row every ``metric_every`` steps (10 unless configured)."""
     for i in range(0, len(ess_history), cfg.get("metric_every", 10)):
         out.add(i, "ess", float(ess_history[i]))
+
+
+def _particle_results(out: RunOutput, cfg: dict, x: np.ndarray, ess_history=(), **results) -> dict:
+    """The tail of the particle samplers: their ESS rows, the particles as
+    samples, and their mean and second moment besides the runner's own
+    ``results``."""
+    _ess_rows(out, cfg, ess_history)
     out.samples = x
     return {"mean": x.mean(axis=0).tolist(), "second_moment": (x ** 2).mean(axis=0).tolist(), **results}
 
@@ -276,7 +278,7 @@ def run_steinis_cmd(cfg, seed, out):
     out.samples = np.hstack([result.sample.positions, result.sample.log_weights[:, None]])
     mean_est = steinis.self_normalized_expectation(result.sample, lambda x: x)
     return {"z_hat": result.z_hat, "ess": result.sample.ess,
-            "self_normalized_mean": np.atleast_1d(mean_est).tolist()}
+            "self_normalized_mean": mean_est.tolist()}
 
 
 def run_path_logz_cmd(cfg, seed, out):
@@ -311,11 +313,9 @@ def run_discrete_sample_cmd(cfg, seed, out):
         build_schedule(cfg.get("schedule")), stream_rng(seed, STREAM_RUN),
         temperature=cfg.get("temperature", 10.0),
     )
-    ess_history = result.continuous.ess_history
-    for i in range(0, len(ess_history), 10):
-        out.add(i, "ess", float(ess_history[i]))
+    _ess_rows(out, cfg, result.continuous.ess_history)
     out.samples = discrete.state_index_rows(result.states, target)
-    return {"site_means": np.atleast_1d(result.states.mean(axis=0)).tolist(),
+    return {"site_means": result.states.mean(axis=0).tolist(),
             "n_samples": int(result.states.shape[0])}
 
 
@@ -412,7 +412,7 @@ def run_oracle_cmd(cfg, seed, out):
         x = rng.standard_normal(target.dim)
         eps = 1e-5 * (1.0 + float(np.linalg.norm(x)))
         fd = models.finite_difference_score(target, x, eps)
-        an = target.score(x)
+        an = target.score(x[None])[0]
         rel = float(np.linalg.norm(an - fd) / max(np.linalg.norm(fd), 1e-12))
         errs.append(rel)
         out.add(i, "score_rel_err", rel)

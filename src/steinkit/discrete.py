@@ -22,7 +22,7 @@ from scipy.special import expit, ndtri
 from .errors import InvalidLambdaError
 from .gfsvgd import GFSVGDResult, run_gf_svgd
 from .kernels import KernelSpec
-from .models import ContinuousTarget, DiscreteTarget, IsingParams, _rowwise
+from .models import ContinuousTarget, DiscreteTarget, IsingParams
 from .svgd import StepSchedule
 
 
@@ -38,7 +38,6 @@ def bin_thresholds(k: int) -> np.ndarray:
 
 def bin_indices(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
     """Bin index of every coordinate; boundary values go to the upper bin."""
-    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("gamma map requires finite inputs")
     inner = bin_thresholds(len(target.alphabet))[1:-1]
@@ -58,11 +57,7 @@ def _log_p0(x: np.ndarray) -> np.ndarray:
 
 def pc_log_density(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
     """log p_c-bar(x) = log p0(x) + log p-star-bar(Gamma(x))."""
-
-    def batch(xb):
-        return _log_p0(xb) + np.asarray(target.log_mass(gamma_map(xb, target)), dtype=float)
-
-    return _rowwise(batch)(x)
+    return _log_p0(x) + target.log_mass(gamma_map(x, target))
 
 
 def pc_target(target: DiscreteTarget) -> ContinuousTarget:
@@ -72,7 +67,7 @@ def pc_target(target: DiscreteTarget) -> ContinuousTarget:
 
 def base_surrogate(target: DiscreteTarget) -> ContinuousTarget:
     """The base distribution itself as surrogate: rho = p0, score -x."""
-    return ContinuousTarget(dim=target.dims, log_density=_rowwise(_log_p0), score=_rowwise(lambda x: -x))
+    return ContinuousTarget(dim=target.dims, log_density=_log_p0, score=lambda x: -x)
 
 
 def exact_pc_surrogate(target: DiscreteTarget) -> ContinuousTarget:
@@ -85,7 +80,7 @@ def exact_pc_surrogate(target: DiscreteTarget) -> ContinuousTarget:
     target.  No surrogate mode selects it; it is kept as a reference only.
     """
     return ContinuousTarget(dim=target.dims, log_density=lambda x: pc_log_density(x, target),
-                            score=_rowwise(lambda x: -x))
+                            score=lambda x: -x)
 
 
 def ising_surrogate(params: IsingParams, lam: Optional[float] = None) -> ContinuousTarget:
@@ -114,7 +109,7 @@ def ising_surrogate(params: IsingParams, lam: Optional[float] = None) -> Continu
     def score(x):
         return -(x @ prec)
 
-    return ContinuousTarget(dim=params.dims, log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=params.dims, log_density=logp, score=score)
 
 
 def sign_relaxation(t: np.ndarray) -> np.ndarray:
@@ -130,21 +125,22 @@ def sign_relaxation_deriv(t: np.ndarray) -> np.ndarray:
 def smooth_relaxation_surrogate(target: DiscreteTarget, temperature: float = 10.0) -> ContinuousTarget:
     """Relax the state map inside the energy: rho(x) = p0(x) * exp(energy(sigma(tau x))).
 
-    Requires the target to evaluate its energy (and gradient) at real-valued
-    relaxed states, as the Ising and RBM free energies do.
+    The energy is ``target.log_mass`` evaluated at the real-valued relaxed
+    states, and its gradient is ``target.relaxed_score``; only targets whose
+    free energy extends off the lattice (Ising, RBM) supply the latter.
     """
-    if target.relaxed_log_mass is None or target.relaxed_score is None:
+    if target.relaxed_score is None:
         raise ValueError("target does not expose a differentiable relaxed energy")
     tau = float(temperature)
 
     def logp(x):
-        return _log_p0(x) + np.asarray(target.relaxed_log_mass(sign_relaxation(tau * x)), dtype=float)
+        return _log_p0(x) + target.log_mass(sign_relaxation(tau * x))
 
     def score(x):
-        inner = np.asarray(target.relaxed_score(sign_relaxation(tau * x)), dtype=float)
+        inner = target.relaxed_score(sign_relaxation(tau * x))
         return -x + inner * sign_relaxation_deriv(tau * x) * tau
 
-    return ContinuousTarget(dim=target.dims, log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=target.dims, log_density=logp, score=score)
 
 
 def resolve_surrogate(
@@ -203,10 +199,8 @@ def sample_discrete(
 
 def state_index_rows(z: np.ndarray, target: DiscreteTarget) -> np.ndarray:
     """Integer state indices for serialization; raises on unknown state values."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    alpha = np.asarray(target.alphabet, dtype=float)
     idx = np.full(z.shape, -1, dtype=int)
-    for i, value in enumerate(alpha):
+    for i, value in enumerate(target.alphabet):
         idx[z == value] = i
     if np.any(idx < 0):
         raise ValueError("sample contains values outside the alphabet")
@@ -224,16 +218,12 @@ def continuize_data(
     through the normal quantile, landing inside bin i by construction, so
     ``gamma_map`` returns the original states exactly.
     """
-    z = np.atleast_2d(np.asarray(z_samples, dtype=float))
-    idx = state_index_rows(z, target)
+    idx = state_index_rows(z_samples, target)
     k = len(target.alphabet)
-    y = (idx + rng.random(size=z.shape)) / k
+    y = (idx + rng.random(size=idx.shape)) / k
     x = ndtri(y)
     # pin within the half-open bin against quantile round-off at the edges
     edges = bin_thresholds(k)
     lo = edges[idx]
     hi = edges[idx + 1]
-    x = np.clip(x, lo, np.nextafter(hi, -np.inf))
-    if np.asarray(z_samples).ndim == 1:
-        return x[0]
-    return x
+    return np.clip(x, lo, np.nextafter(hi, -np.inf))

@@ -58,7 +58,6 @@ def rank_normalized_weights(log_w: np.ndarray) -> np.ndarray:
     Depends only on the ranks of the weights, hence is invariant under any
     monotone transform of them; equal weights map to all-ones.
     """
-    log_w = np.asarray(log_w, dtype=float)
     n = log_w.size
     order = np.sort(log_w)
     count_ge = n - np.searchsorted(order, log_w, side="left")
@@ -121,8 +120,7 @@ def gf_svgd_direction(
     (1/Z) sum_j w_j [ s_rho(x_j) k(x_j, x_i) + grad_{x_j} k(x_j, x_i) ]."""
     if surrogate.score is None:
         raise MissingScoreError("surrogate has no analytic score")
-    x = np.atleast_2d(np.asarray(particles, dtype=float))
-    return _gf_step(x, None, target, surrogate, kernel, weight_mode, ess_floor)[0]
+    return _gf_step(particles, None, target, surrogate, kernel, weight_mode, ess_floor)[0]
 
 
 def kernel_curve_surrogate(

@@ -68,10 +68,9 @@ def gof_gram(
     the matrix carries an arbitrary positive scale).  ``surrogate_mode`` is as
     in ``resolve_surrogate``; the bandwidth is ``kernel``'s over the
     continuized points."""
-    z = np.atleast_2d(np.asarray(z_data, dtype=float))
-    if z.shape[0] < 2:
+    if z_data.shape[0] < 2:
         raise ValueError("goodness-of-fit testing needs at least two data points")
-    x = continuize_data(z, null_target, rng)
+    x = continuize_data(z_data, null_target, rng)
     surrogate = resolve_surrogate(surrogate_mode, null_target)
     sq = pairwise_sq_dists(x, x)
     h = resolve_bandwidth(kernel, x, sq)
@@ -147,8 +146,7 @@ def _hamming_gram(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
 def mmd_hamming(z_samples_1: np.ndarray, z_samples_2: np.ndarray) -> float:
     """Biased (V-statistic) MMD^2 under the exponentiated normalized Hamming kernel."""
-    z1 = np.atleast_2d(np.asarray(z_samples_1))
-    z2 = np.atleast_2d(np.asarray(z_samples_2))
+    z1, z2 = z_samples_1, z_samples_2
     if z1.shape[1] != z2.shape[1]:
         raise ValueError("sample sets have different dimensions")
     return float(
@@ -168,8 +166,7 @@ def weighted_mmd(x_weighted: WeightedSample, y_exact: np.ndarray, h: float) -> f
     """Importance-weighted MMD^2 between a weighted sample and an exact one:
     sum_ij w-hat_i k w-hat_j - (2/M) sum w-hat_i k(x_i, y_j) + (1/M^2) sum k(y, y')."""
     w = x_weighted.normalized_weights()
-    x = np.atleast_2d(x_weighted.positions)
-    y = np.atleast_2d(np.asarray(y_exact, dtype=float))
+    x, y = x_weighted.positions, y_exact
     kxx = rbf_gram(x, x, h)
     kxy = rbf_gram(x, y, h)
     kyy = rbf_gram(y, y, h)

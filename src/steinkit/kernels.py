@@ -57,8 +57,6 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     (a - b)^2 == (b - a)^2 exactly, the mirrored entries are the same bits.
     """
     square = y is x
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = x if square else np.atleast_2d(np.asarray(y, dtype=float))
     n, m = x.shape[0], y.shape[0]
     out = np.empty((n, m))
     rows = max(1, DIFF_BUDGET // max(1, m * x.shape[1]))
@@ -121,12 +119,11 @@ def median_bandwidth(points: np.ndarray, sq: Optional[np.ndarray] = None) -> flo
     has it.  Raises ValueError on a non-finite distance, and
     DegenerateEnsembleError if the point set is degenerate (med = 0).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
+    n = points.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least two points")
     if sq is None:
-        sq = pairwise_sq_dists(pts, pts)
+        sq = pairwise_sq_dists(points, points)
     v = np.take(sq, _upper_pairs(n))
     if not np.all(np.isfinite(v)):
         raise ValueError("median bandwidth needs finite pairwise distances")

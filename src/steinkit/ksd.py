@@ -37,14 +37,9 @@ def stein_gram(
     sets; ``y`` and ``y_scores`` default to ``points`` and ``scores`` (the
     square Gram).  ``sq`` is ``pairwise_sq_dists(points, y)`` when the caller
     already has it."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    sx = np.atleast_2d(np.asarray(scores, dtype=float))
+    x, sx = points, scores
     square = y is None
-    if square:
-        y, sy = x, sx
-    else:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        sy = np.atleast_2d(np.asarray(y_scores, dtype=float))
+    y, sy = (x, sx) if square else (y, y_scores)
     d = x.shape[1]
     if sq is None:
         sq = pairwise_sq_dists(x, y)
@@ -63,8 +58,6 @@ def stein_gram(
 
 def stein_gram_cross(x: np.ndarray, y: np.ndarray, score_fn: Callable, h: float) -> np.ndarray:
     """Rectangular kappa matrix between two point sets (used by identity checks)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     return stein_gram(x, score_fn(x), h, y=y, y_scores=score_fn(y))
 
 
@@ -86,9 +79,8 @@ def gf_stein_gram(
     """
     if surrogate.score is None:
         raise MissingScoreError("surrogate has no analytic score")
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    kr = stein_gram(x, surrogate.score(x), h, sq)
-    log_w = np.asarray(surrogate.log_density(x), dtype=float) - np.asarray(log_p_fn(x), dtype=float)
+    kr = stein_gram(points, surrogate.score(points), h, sq)
+    log_w = surrogate.log_density(points) - log_p_fn(points)
     w = np.exp(log_w - np.max(log_w))
     return w[:, None] * kr * w[None, :]
 
@@ -102,10 +94,9 @@ def alpha_stein_gram(points: np.ndarray, log_p_fn: Callable, score_fn: Callable,
     carries the (unknown) normalization constant to the 2a power; a = 0
     recovers ``stein_gram`` bit for bit.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    log_p = np.asarray(log_p_fn(x), dtype=float)
+    log_p = log_p_fn(points)
     scale = np.exp(alpha * (log_p[:, None] + log_p[None, :]))
-    return scale * stein_gram(x, (alpha + 1.0) * np.asarray(score_fn(x), dtype=float), h)
+    return scale * stein_gram(points, (alpha + 1.0) * score_fn(points), h)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,6 @@ def u_statistic_from_gram(gram: np.ndarray) -> float:
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
@@ -147,7 +137,7 @@ def solve_simplex_qp(gram: np.ndarray, max_iter: int = 10000, tol: float = 1e-10
     objective is nonincreasing across accepted iterates.  Warns and returns
     the best iterate if the relative-decrease tolerance is never met.
     """
-    k = np.asarray(gram, dtype=float)
+    k = gram
     n = k.shape[0]
     if n == 1:
         return np.ones(1)
@@ -189,7 +179,6 @@ def bbis_weights(gram: np.ndarray, max_iter: int = 10000, tol: float = 1e-10) ->
     """Importance weights for arbitrary particles by minimizing the empirical
     gradient-free KSD u' K-tilde u subject to u on the probability simplex;
     ``gram`` is ``gf_stein_gram`` over the particles."""
-    gram = np.asarray(gram, dtype=float)
     return solve_simplex_qp(0.5 * (gram + gram.T), max_iter=max_iter, tol=tol)
 
 
@@ -198,10 +187,9 @@ def bbis_error_bound(weights: np.ndarray, gram: np.ndarray) -> float:
     sample-dependent factor of the integration-error bound (the RKHS norm of
     the test function is reported separately by the caller as an unknown
     scale)."""
-    u = np.asarray(weights, dtype=float)
-    if abs(u.sum() - 1.0) > 1e-8 or u.min() < -1e-12:
+    if abs(weights.sum() - 1.0) > 1e-8 or weights.min() < -1e-12:
         raise ValueError("weights must lie on the probability simplex")
-    quad = float(u @ np.asarray(gram, dtype=float) @ u)
+    quad = float(weights @ gram @ weights)
     if quad < -1e-10:
         raise NumericalFailure(f"quadratic form is negative beyond tolerance: {quad:.3e}")
     return float(np.sqrt(max(quad, 0.0)))

@@ -3,8 +3,13 @@
 Continuous targets expose ``log_density`` (the unnormalized log p-bar) and,
 when available analytically, ``score`` (gradient of log density, independent
 of the normalization constant).  Discrete targets expose ``log_mass`` on a
-product alphabet.  All callables accept either a single point ``(d,)`` or a
-batch ``(n, d)`` and vectorize over rows.
+product alphabet.
+
+One batch contract holds across the library: a point set is a float
+``(n, d)`` array, and every target callable maps it to an ``(n,)`` array
+(``log_density``, ``log_mass``) or an ``(n, d)`` array (``score``).  The
+library calls targets with batches only and does not re-coerce what they
+return; score a single point ``x`` as ``target.score(x[None])[0]``.
 
 Also houses the exhaustive-enumeration and finite-difference oracles used by
 the test suite and the ``oracle`` CLI subcommand.
@@ -24,18 +29,6 @@ from .errors import StateSpaceTooLargeError
 BRUTE_FORCE_CAP = 2 ** 20
 
 
-def _rowwise(fn):
-    """Lift a batch function ((n,d) -> (n,...)) to accept single vectors."""
-
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return fn(x[None, :])[0]
-        return fn(x)
-
-    return wrapped
-
-
 @dataclass(frozen=True)
 class ContinuousTarget:
     """Unnormalized continuous density log p-bar with optional analytic score."""
@@ -49,15 +42,16 @@ class ContinuousTarget:
 class DiscreteTarget:
     """Unnormalized mass on a product space with K states per coordinate.
 
-    ``relaxed_log_mass``/``relaxed_score`` evaluate the same energy on real
-    vectors when the model's algebra extends off the lattice (Ising, RBM);
-    they power the smooth surrogate constructions.
+    ``log_mass`` maps a float (n, dims) array of states to the (n,) log
+    masses; it is never called with a single state.  ``relaxed_score`` is the
+    (n, dims) gradient of ``log_mass`` on real vectors, given when the model's
+    algebra extends off the lattice (Ising, RBM): the smooth relaxation
+    surrogate then evaluates ``log_mass`` itself at the relaxed states.
     """
 
     dims: int
     alphabet: tuple[float, ...]
     log_mass: Callable[[np.ndarray], np.ndarray]
-    relaxed_log_mass: Optional[Callable[[np.ndarray], np.ndarray]] = None
     relaxed_score: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -143,7 +137,7 @@ def gaussian_target(mu: np.ndarray, sigma: float) -> ContinuousTarget:
     def score(x):
         return -(x - mu) / sigma
 
-    return ContinuousTarget(dim=mu.size, log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=mu.size, log_density=logp, score=score)
 
 
 def mixture_target(log_weights: np.ndarray, means: np.ndarray, sigma: float,
@@ -183,7 +177,7 @@ def mixture_target(log_weights: np.ndarray, means: np.ndarray, sigma: float,
         r = e / total
         return (r @ means - x * r.sum(axis=1, keepdims=True)) / sigma
 
-    return ContinuousTarget(dim=means.shape[1], log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=means.shape[1], log_density=logp, score=score)
 
 
 def gmm_target(weights: np.ndarray, means: Sequence[np.ndarray], sigma: float,
@@ -218,7 +212,7 @@ def gauss_bernoulli_rbm_target(params: GaussBernoulliRBMParams) -> ContinuousTar
         phi = x @ B + c
         return b - x + np.tanh(phi) @ B.T
 
-    return ContinuousTarget(dim=b.size, log_density=_rowwise(logp), score=_rowwise(score))
+    return ContinuousTarget(dim=b.size, log_density=logp, score=score)
 
 
 def gauss_bernoulli_rbm_mixture(params: GaussBernoulliRBMParams):
@@ -259,9 +253,8 @@ def ising_target(params: IsingParams) -> DiscreteTarget:
     return DiscreteTarget(
         dims=params.dims,
         alphabet=(-1.0, 1.0),
-        log_mass=_rowwise(log_mass),
-        relaxed_log_mass=_rowwise(log_mass),
-        relaxed_score=_rowwise(relaxed_score),
+        log_mass=log_mass,
+        relaxed_score=relaxed_score,
     )
 
 
@@ -298,9 +291,8 @@ def bernoulli_rbm_target(params: BernoulliRBMParams) -> DiscreteTarget:
     return DiscreteTarget(
         dims=b.size,
         alphabet=(-1.0, 1.0),
-        log_mass=_rowwise(log_mass),
-        relaxed_log_mass=_rowwise(log_mass),
-        relaxed_score=_rowwise(relaxed_score),
+        log_mass=log_mass,
+        relaxed_score=relaxed_score,
     )
 
 
@@ -376,7 +368,6 @@ def finite_difference_score(target: ContinuousTarget, x: np.ndarray, eps: float)
     """Central-difference gradient of ``target.log_density`` at a single point."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    x = np.asarray(x, dtype=float)
     d = x.size
     shifts = np.repeat(x[None, :], 2 * d, axis=0)
     idx = np.arange(d)
@@ -408,7 +399,7 @@ def gaussian_logpdf(mu: np.ndarray, sigma: float) -> Callable[[np.ndarray], np.n
     def logpdf(x):
         return const - np.sum((x - mu) ** 2, axis=1) / (2.0 * sigma)
 
-    return _rowwise(logpdf)
+    return logpdf
 
 
 def sample_gmm(rng: np.random.Generator, n: int, weights: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:

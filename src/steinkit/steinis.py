@@ -52,8 +52,8 @@ def leader_velocity_field(
 ) -> Callable:
     """Velocity field phi built from the leader set, with analytic Jacobian.
 
-    Returns ``field(x, with_jacobian=False)`` evaluating phi (m, d) and,
-    on request, A(x) = grad phi (m, d, d) at arbitrary points; both are
+    Returns ``field(y, with_jacobian=False)`` evaluating phi (m, d) and,
+    on request, A(y) = grad phi (m, d, d) at an (m, d) point set; both are
     averages over the leaders only.  The leaders' squared distances are built
     once, here, for the bandwidth and for ``field(leaders)`` alike.
 
@@ -73,13 +73,13 @@ def leader_velocity_field(
     Every reduction runs over the leader axis alone, so rows of the field and
     the Jacobian do not depend on which other points share the call.
     """
-    x_l = np.atleast_2d(np.asarray(leaders, dtype=float))
+    x_l = leaders
     if target.score is None:
         raise ValueError("SteinIS requires the target score")
     # called through the module so that clibench's tracer counts it as the kernels layer
     sq_ll = kernels.pairwise_sq_dists(x_l, x_l)
     h = resolve_bandwidth(kernel, x_l, sq_ll)
-    s_l = np.atleast_2d(np.asarray(target.score(x_l), dtype=float))
+    s_l = target.score(x_l)
     n_l, d = x_l.shape
     ones = np.ones(n_l)
     centre = x_l.mean(axis=0)
@@ -93,8 +93,7 @@ def leader_velocity_field(
     split_at = np.cumsum([1, d, d, d * d])
     eye = np.eye(d)
 
-    def field(points: np.ndarray, with_jacobian: bool = False):
-        y = np.atleast_2d(np.asarray(points, dtype=float))
+    def field(y: np.ndarray, with_jacobian: bool = False):
         sq = sq_ll if y is x_l else kernels.pairwise_sq_dists(x_l, y)
         phi = stein_direction(x_l, s_l, ones, float(n_l), h, eval_positions=y, sq=sq)
         if not with_jacobian:
@@ -179,9 +178,9 @@ def run_steinis(
         raise ValueError(f"unknown det_mode: {det_mode!r}")
     if schedule.mode == "adam":
         raise ValueError("SteinIS needs a scalar step size (constant or decay schedule)")
-    leaders = np.atleast_2d(q0_sampler(rng, n_leaders)).astype(float)
-    followers = np.atleast_2d(q0_sampler(rng, n_followers)).astype(float)
-    log_q = np.asarray(q0_logpdf(followers), dtype=float).copy()
+    leaders = q0_sampler(rng, n_leaders)
+    followers = q0_sampler(rng, n_followers)
+    log_q = q0_logpdf(followers)
     eps_history: list[float] = []
     for it in range(iters):
         field = leader_velocity_field(leaders, target, kernel)
@@ -201,7 +200,7 @@ def run_steinis(
         log_q = log_q - log_dets
         eps_history.append(eps)
         check_divergence(it, leaders, followers)
-    log_w = np.asarray(target.log_density(followers), dtype=float) - log_q
+    log_w = target.log_density(followers) - log_q
     z_hat = float(np.exp(logsumexp(log_w) - np.log(n_followers)))
     sample = WeightedSample(positions=followers, log_weights=log_w)
     ensemble = LeaderFollowerEnsemble(
@@ -212,11 +211,7 @@ def run_steinis(
 
 def self_normalized_expectation(sample: WeightedSample, f: Callable[[np.ndarray], np.ndarray]):
     """Importance-weighted average sum_i w-hat_i f(x_i) with normalized weights."""
-    w = sample.normalized_weights()
-    vals = np.asarray(f(sample.positions), dtype=float)
-    if vals.ndim == 1:
-        return float(w @ vals)
-    return w @ vals
+    return sample.normalized_weights() @ f(sample.positions)
 
 
 def path_integration_logZ(
@@ -246,14 +241,14 @@ def path_integration_logZ(
     if target.score is None:
         raise ValueError("path integration requires the target score")
     ref = q0_sampler(rng, m0)
-    e0 = float(np.mean(np.asarray(q0_logpdf(ref), dtype=float) - np.asarray(target.log_density(ref), dtype=float)))
+    e0 = float(np.mean(q0_logpdf(ref) - target.log_density(ref)))
     ksd2 = []
 
     def direction(it, x, sq):
         h = resolve_bandwidth(kernel, x, sq)
-        s = np.atleast_2d(np.asarray(target.score(x), dtype=float))
+        s = target.score(x)
         ksd2.append(v_statistic_from_gram(stein_gram(x, s, h, sq=sq)))
         return stein_direction(x, s, np.ones(len(x)), float(len(x)), h, sq=sq)
 
-    run_particles(np.atleast_2d(q0_sampler(rng, n)), iters, direction, schedule)
+    run_particles(q0_sampler(rng, n), iters, direction, schedule)
     return sum(schedule.scalar_eps(it) * v for it, v in enumerate(ksd2)) - e0

@@ -68,10 +68,6 @@ class StepSchedule:
         raise ValueError("adam schedule has no scalar step size")
 
 
-def init_ensemble(positions: np.ndarray) -> ParticleEnsemble:
-    return ParticleEnsemble(positions=np.array(positions, dtype=float, copy=True))
-
-
 def stein_direction(
     src_positions: np.ndarray,
     src_scores: np.ndarray,
@@ -108,12 +104,11 @@ def stein_direction(
 
 def svgd_direction(particles: np.ndarray, target: ContinuousTarget, kernel: KernelSpec, sq=None) -> np.ndarray:
     """Standard SVGD update direction, one row per particle; ``sq`` as in ``stein_direction``."""
-    x = np.atleast_2d(np.asarray(particles, dtype=float))
     if target.score is None:
         raise MissingScoreError("target has no analytic score; use the gradient-free update")
-    h = resolve_bandwidth(kernel, x, sq)
-    n = x.shape[0]
-    return stein_direction(x, target.score(x), np.ones(n), float(n), h, sq=sq)
+    h = resolve_bandwidth(kernel, particles, sq)
+    n = particles.shape[0]
+    return stein_direction(particles, target.score(particles), np.ones(n), float(n), h, sq=sq)
 
 
 def check_divergence(it: int, *positions: np.ndarray) -> None:
@@ -162,7 +157,7 @@ def run_particles(
     squared distances of the current positions ``x``, computed once here for
     the bandwidth and the direction alike.  ``callback`` is invoked on the
     initial ensemble and after every step."""
-    ensemble = init_ensemble(positions)
+    ensemble = ParticleEnsemble(positions)
     if callback is not None:
         callback(ensemble)
     for it in range(iters):

@@ -5,7 +5,6 @@ from scipy.optimize import minimize_scalar
 from steinkit import aggregation
 from steinkit.aggregation import (
     LOG_RATIO_CLIP,
-    AggregationResult,
     GaussianModel,
     GMMModel,
     _bootstrap_fits,
@@ -90,7 +89,7 @@ class TestKLNaive:
         model = GaussianModel(mean=np.array([1.0]), cov=np.array([[2.0]]))
         res = kl_average("kl-naive", [model], 500, stream_rng(83, 0))
         boots = _draw_bootstrap([model], 500, stream_rng(83, 0))
-        assert res.model.mean[0] == pytest.approx(boots[0].mean(), rel=1e-12)
+        assert res.mean[0] == pytest.approx(boots[0].mean(), rel=1e-12)
 
     def test_combined_mean_is_pooled_mean(self):
         models = [GaussianModel(mean=np.array([m]), cov=np.array([[1.0]])) for m in (-1.0, 0.5, 2.0)]
@@ -103,13 +102,13 @@ class TestKLNaive:
 class TestKLControl:
     def test_correction_vanishes_for_large_n(self):
         models = [
-            GaussianModel(mean=stream_rng(84, k).normal(0, 0.01, size=2), cov=np.eye(2), machine=k)
+            GaussianModel(mean=stream_rng(84, k).normal(0, 0.01, size=2), cov=np.eye(2))
             for k in range(4)
         ]
         res = kl_average("kl-control", models, 100_000, stream_rng(84, 10))
         naive = kl_average("kl-naive", models, 100_000, stream_rng(84, 10))
-        correction = np.linalg.norm(pack_gaussian(res.model) - pack_gaussian(naive.model))
-        assert correction < 1e-2 * np.linalg.norm(pack_gaussian(naive.model))
+        correction = np.linalg.norm(pack_gaussian(res) - pack_gaussian(naive))
+        assert correction < 1e-2 * np.linalg.norm(pack_gaussian(naive))
 
     def test_identical_fishers_sum_to_minus_identity(self):
         rng = stream_rng(84, 20)
@@ -156,10 +155,9 @@ class TestKLWeighted:
         assert fit.mean[0] == pytest.approx(res.x, abs=1e-8)
 
     def test_full_run_returns_result(self):
-        models = [GaussianModel(mean=np.zeros(2), cov=np.eye(2), machine=k) for k in range(3)]
+        models = [GaussianModel(mean=np.zeros(2), cov=np.eye(2)) for _ in range(3)]
         res = kl_average("kl-weighted", models, 50, stream_rng(85, 2))
-        assert isinstance(res, AggregationResult)
-        assert res.method == "kl-weighted"
+        assert res.mean.shape == (2,) and res.cov.shape == (2, 2)
 
 
 class TestMatchingAndAveraging:
@@ -172,16 +170,16 @@ class TestMatchingAndAveraging:
     def test_identical_models_average_to_themselves(self):
         g = self._gmm()
         res = linear_average([g, g])
-        assert np.allclose(res.model.means, g.means, atol=1e-12)
-        assert np.allclose(res.model.weights, g.weights, atol=1e-12)
+        assert np.allclose(res.means, g.means, atol=1e-12)
+        assert np.allclose(res.weights, g.weights, atol=1e-12)
 
     def test_swapped_components_recovered(self):
         a, b = self._gmm(), self._gmm(order=(1, 0))
         perms = match_components([a, b])
         assert np.array_equal(perms[1], np.array([1, 0]))
         res = linear_average([a, b])
-        assert np.allclose(res.model.means, a.means, atol=1e-12)
-        assert np.allclose(res.model.weights, a.weights, atol=1e-12)
+        assert np.allclose(res.means, a.means, atol=1e-12)
+        assert np.allclose(res.weights, a.weights, atol=1e-12)
 
     def test_symmetric_kl_unit_shift(self):
         val = symmetric_kl_gaussians(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
@@ -216,7 +214,7 @@ class TestExactKLAverage:
         n = 100_000
         res = kl_average("kl-naive", models, n, stream_rng(86, 10))
         stderr = 1.0 / np.sqrt(3 * n)
-        assert abs(res.model.mean[0] - exact.mean[0]) < 3 * stderr
+        assert abs(res.mean[0] - exact.mean[0]) < 3 * stderr
 
 
 class TestOrderingInvariant:
@@ -318,7 +316,7 @@ def full_family_fits_oracle(models, boots, methods):
         w = np.exp(np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP))
         fits["kl-weighted"] = GaussianModel(*_gaussian_mle(np.vstack(boots), w))
     if "linear" in methods:
-        fits["linear"] = linear_average(models).model
+        fits["linear"] = linear_average(models)
     return fits
 
 
@@ -361,8 +359,7 @@ class TestSharedEstimatorPath:
         models = _draw_asymptotic_local_models(stream_rng(89, 0), 3, 2, 3e4)
         res = kl_average(method, models, 40, stream_rng(89, 1))
         boots = _draw_bootstrap(models, 40, stream_rng(89, 1))
-        assert res.method == method
-        assert_same_fits({method: res.model}, {method: full_family_fits_oracle(models, boots, ALL_METHODS)[method]})
+        assert_same_fits({method: res}, {method: full_family_fits_oracle(models, boots, ALL_METHODS)[method]})
 
     def test_kl_average_rejects_other_methods(self):
         models = _draw_asymptotic_local_models(stream_rng(89, 0), 3, 2, 3e4)
@@ -372,19 +369,19 @@ class TestSharedEstimatorPath:
 
     def test_gmm_wrappers_refit_before_the_pooled_fit(self):
         means = np.array([[-3.0, 0.0], [3.0, 0.0]])
-        models = [GMMModel(weights=np.array([0.4, 0.6]), means=means + 0.1 * k, covs=np.stack([np.eye(2)] * 2),
-                           machine=k) for k in range(3)]
+        models = [GMMModel(weights=np.array([0.4, 0.6]), means=means + 0.1 * k, covs=np.stack([np.eye(2)] * 2))
+                  for k in range(3)]
         rng = stream_rng(90, 0)
         boots = _draw_bootstrap(models, 60, rng)
         refits = [_gmm_em(b, 2, rng) for b in boots]
         log_ratio = np.concatenate([model_logpdf(h, b) - model_logpdf(t, b) for h, t, b in zip(models, refits, boots)])
         want = _gmm_em(np.vstack(boots), 2, rng, np.exp(np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)))
-        got = kl_average("kl-weighted", models, 60, stream_rng(90, 0)).model
+        got = kl_average("kl-weighted", models, 60, stream_rng(90, 0))
         for a in ("weights", "means", "covs"):
             assert np.array_equal(getattr(got, a), getattr(want, a))
         rng = stream_rng(90, 1)
         want = _gmm_em(np.vstack(_draw_bootstrap(models, 60, rng)), 2, rng)
-        got = kl_average("kl-naive", models, 60, stream_rng(90, 1)).model
+        got = kl_average("kl-naive", models, 60, stream_rng(90, 1))
         for a in ("weights", "means", "covs"):
             assert np.array_equal(getattr(got, a), getattr(want, a))
         # both pooled fits after every refit, naive before weighted

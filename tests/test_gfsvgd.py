@@ -44,8 +44,8 @@ class TestDirectionReduction:
         t = gaussian_target(np.zeros(1), 1.0)
         flat = ContinuousTarget(
             dim=1,
-            log_density=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
-            score=lambda x: np.zeros_like(np.atleast_2d(x)),
+            log_density=lambda x: np.zeros(x.shape[0]),
+            score=np.zeros_like,
         )
         x = stream_rng(31, 1).standard_normal((7, 1))
         d = gf_svgd_direction(x, t, flat, KERN)
@@ -66,11 +66,11 @@ class TestDirectionReduction:
         assert np.allclose(base, scaled, atol=1e-12)
 
     def test_degenerate_weights_plain_mode(self):
-        t = ContinuousTarget(dim=1, log_density=lambda x: np.full(np.atleast_2d(x).shape[0], 1000.0), score=None)
+        t = ContinuousTarget(dim=1, log_density=lambda x: np.full(x.shape[0], 1000.0), score=None)
         rho = ContinuousTarget(
             dim=1,
-            log_density=lambda x: np.full(np.atleast_2d(x).shape[0], -1000.0),
-            score=lambda x: np.zeros_like(np.atleast_2d(x)),
+            log_density=lambda x: np.full(x.shape[0], -1000.0),
+            score=np.zeros_like,
         )
         x = np.array([[0.0], [1.0]])
         with pytest.raises(DegenerateWeightsError, match="max log-weight"):
@@ -78,11 +78,11 @@ class TestDirectionReduction:
 
     def test_ess_threshold(self):
         # one particle dominates: ESS < 2 must raise rather than continue
-        t = ContinuousTarget(dim=1, log_density=lambda x: -50.0 * np.atleast_2d(x)[:, 0], score=None)
+        t = ContinuousTarget(dim=1, log_density=lambda x: -50.0 * x[:, 0], score=None)
         rho = ContinuousTarget(
             dim=1,
-            log_density=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
-            score=lambda x: np.zeros_like(np.atleast_2d(x)),
+            log_density=lambda x: np.zeros(x.shape[0]),
+            score=np.zeros_like,
         )
         x = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(DegenerateWeightsError, match="effective sample size"):
@@ -91,7 +91,7 @@ class TestDirectionReduction:
 
 class TestSurrogateWithoutScore:
     # a surrogate is any ContinuousTarget, but the gradient-free update needs its score
-    SCORELESS = ContinuousTarget(dim=1, log_density=lambda x: -0.5 * np.atleast_2d(x)[:, 0] ** 2, score=None)
+    SCORELESS = ContinuousTarget(dim=1, log_density=lambda x: -0.5 * x[:, 0] ** 2, score=None)
 
     def test_direction_raises(self):
         t = gaussian_target(np.zeros(1), 1.0)
@@ -136,7 +136,7 @@ class TestKernelCurveSurrogate:
     def test_single_anchor_bump(self):
         anchor = np.array([[1.0, -1.0]])
         s = kernel_curve_surrogate(anchor, np.array([0.5]), h=2.0)
-        assert np.allclose(s.score(anchor[0]), 0.0, atol=1e-14)
+        assert np.allclose(s.score(anchor), 0.0, atol=1e-14)
 
     def test_score_matches_finite_differences(self):
         rng = stream_rng(32, 0)
@@ -147,12 +147,12 @@ class TestKernelCurveSurrogate:
             x = rng.standard_normal(2)
             eps = 1e-5 * (1 + np.linalg.norm(x))
             fd = finite_difference_score(s, x, eps)
-            assert np.linalg.norm(s.score(x) - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
+            assert np.linalg.norm(s.score(x[None])[0] - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
     def test_symmetric_anchors_cancel_at_midpoint(self):
         anchors = np.array([[-2.0], [2.0]])
         s = kernel_curve_surrogate(anchors, np.array([0.3, 0.3]), h=1.0)
-        assert np.allclose(s.score(np.zeros(1)), 0.0, atol=1e-14)
+        assert np.allclose(s.score(np.zeros((1, 1))), 0.0, atol=1e-14)
 
     def test_anchor_distances_give_the_same_bits(self):
         rng = stream_rng(32, 1)

@@ -26,9 +26,7 @@ def three_state_target(masses=(0.25, 0.45, 0.3)):
     lookup = dict(zip(states, np.log(masses)))
 
     def log_mass(z):
-        z2 = np.atleast_2d(z)
-        out = np.array([sum(lookup[v] for v in row) for row in z2])
-        return out if np.asarray(z).ndim > 1 else out[0]
+        return np.array([sum(lookup[v] for v in row) for row in z])
 
     return DiscreteTarget(dims=1, alphabet=states, log_mass=log_mass)
 

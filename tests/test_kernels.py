@@ -186,8 +186,8 @@ class TestWeightedKernel:
     @staticmethod
     def _weighted(pts, log_w, h):
         surrogate = ContinuousTarget(dim=pts.shape[1], log_density=lambda x: np.asarray(log_w, dtype=float),
-                                     score=lambda x: -np.atleast_2d(x))
-        return gf_stein_gram(pts, surrogate, lambda x: np.zeros(np.atleast_2d(x).shape[0]), h)
+                                     score=lambda x: -x)
+        return gf_stein_gram(pts, surrogate, lambda x: np.zeros(x.shape[0]), h)
 
     def test_unit_weights_reduce_to_unweighted_gram(self):
         pts = rng.normal(size=(5, 2))

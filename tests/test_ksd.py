@@ -21,15 +21,15 @@ from steinkit.rngs import stream_rng
 
 
 def std_normal_score(x):
-    return -np.atleast_2d(np.asarray(x, dtype=float))
+    return -x
 
 
 def five_term_oracle(x, y, p, p_log, rho, rho_log, h):
     """w(x) kappa_rho(x, y) w(y) for one pair, assembled independently from
     the product-rule expansion of the weighted kernel, using s_p and
     s_ell = s_p - s_rho; with rho = p it is the plain Stein kernel kappa_p."""
-    ell = lambda v: np.exp(float(p_log(v)) - float(rho_log(v)))  # 1/w
-    s_ell = lambda v: p.score(v) - rho.score(v)
+    ell = lambda v: np.exp(float(p_log(v[None])[0]) - float(rho_log(v[None])[0]))  # 1/w
+    s_ell = lambda v: p.score(v[None])[0] - rho.score(v[None])[0]
     d = x.size
     r2 = np.sum((x - y) ** 2)
     k = np.exp(-r2 / h)
@@ -37,7 +37,7 @@ def five_term_oracle(x, y, p, p_log, rho, rho_log, h):
     gy = (2.0 / h) * (x - y) * k
     tr = k * (2.0 * d / h - 4.0 * r2 / h ** 2)
     denom = ell(x) * ell(y)
-    sp_x, sp_y = p.score(x), p.score(y)
+    sp_x, sp_y = p.score(x[None])[0], p.score(y[None])[0]
     sl_x, sl_y = s_ell(x), s_ell(y)
     t1 = float(sp_x @ sp_y) * k / denom
     t2 = float(sp_x @ (gy - k * sl_y)) / denom
@@ -113,8 +113,8 @@ class TestGradientFreeKernel:
         p_log = gaussian_logpdf(np.zeros(1), 1.0)
         surrogate = ContinuousTarget(
             dim=1,
-            log_density=lambda x: np.where(np.atleast_2d(x)[:, 0] > 0.5, -np.inf, p_log(x)),
-            score=lambda x: np.zeros_like(np.atleast_2d(x)),
+            log_density=lambda x: np.where(x[:, 0] > 0.5, -np.inf, p_log(x)),
+            score=np.zeros_like,
         )
         gram = gf_stein_gram(np.array([[0.0], [1.0]]), surrogate, p_log, 1.0)
         assert gram[0, 1] == 0.0 and gram[1, 1] == 0.0
@@ -293,12 +293,13 @@ class TestAlphaKernel:
         pts = stream_rng(47, 3).standard_normal((2, 2))
         a, h = 0.5, 1.2
         x, y = pts
-        sx, sy = t.score(x), t.score(y)
+        sx, sy = t.score(pts)
+        log_px, log_py = t.log_density(pts)
         r2 = np.sum((x - y) ** 2)
         k = np.exp(-r2 / h)
         grad_y, grad_x = (2.0 / h) * (x - y) * k, -(2.0 / h) * (x - y) * k
         tr = k * (2.0 * 2 / h - 4.0 * r2 / h ** 2)
-        expected = np.exp(a * (float(t.log_density(x)) + float(t.log_density(y)))) * (
+        expected = np.exp(a * (float(log_px) + float(log_py))) * (
             (a + 1) ** 2 * float(sx @ sy) * k + (a + 1) * float(sx @ grad_y) + (a + 1) * float(sy @ grad_x) + tr
         )
         assert alpha_stein_gram(pts, t.log_density, t.score, a, h)[0, 1] == pytest.approx(expected, rel=1e-12)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from steinkit import discrete, gfsvgd, gof, ksd, steinis, svgd
 from steinkit.errors import StateSpaceTooLargeError
+from steinkit.kernels import KernelSpec, median_bandwidth
 from steinkit.models import (
     BernoulliRBMParams,
+    ContinuousTarget,
+    DiscreteTarget,
     GaussBernoulliRBMParams,
     IsingParams,
     bernoulli_rbm_target,
@@ -16,6 +20,8 @@ from steinkit.models import (
     finite_difference_score,
     gauss_bernoulli_rbm_mixture,
     gauss_bernoulli_rbm_target,
+    gaussian_logpdf,
+    gaussian_sampler,
     gaussian_target,
     gibbs_sweep,
     gmm_target,
@@ -34,18 +40,18 @@ def fd_check(target, rng, n_points=20, tol=1e-5):
         x = rng.standard_normal(target.dim)
         eps = 1e-5 * (1.0 + np.linalg.norm(x))
         fd = finite_difference_score(target, x, eps)
-        an = target.score(x)
+        an = target.score(x[None])[0]
         assert np.linalg.norm(an - fd) <= tol * max(np.linalg.norm(fd), 1.0)
 
 
 class TestGaussian:
     def test_score_zero_at_mean(self):
         t = gaussian_target(np.array([1.0, -2.0]), 3.0)
-        assert np.array_equal(t.score(np.array([1.0, -2.0])), np.zeros(2))
+        assert np.array_equal(t.score(np.array([[1.0, -2.0]]))[0], np.zeros(2))
 
     def test_log_density_difference(self):
         t = gaussian_target(np.zeros(2), 2.0)
-        diff = t.log_density(np.array([1.0, 1.0])) - t.log_density(np.zeros(2))
+        diff = t.log_density(np.array([[1.0, 1.0]]))[0] - t.log_density(np.zeros((1, 2)))[0]
         assert diff == pytest.approx(-0.5, abs=1e-14)
 
     def test_finite_difference_score(self):
@@ -63,14 +69,14 @@ class TestGMM:
         m = gmm_target(np.array([1.0]), mu[None, :], 1.4)
         rng = stream_rng(2, 0)
         for _ in range(10):
-            x = rng.standard_normal(2)
-            assert m.log_density(x) == pytest.approx(g.log_density(x), abs=1e-12)
+            x = rng.standard_normal(2)[None]
+            assert m.log_density(x)[0] == pytest.approx(g.log_density(x)[0], abs=1e-12)
             assert np.allclose(m.score(x), g.score(x), atol=1e-12)
 
     def test_symmetric_midpoint_score_vanishes(self):
         means = np.array([[-2.0, 0.0], [2.0, 0.0]])
         m = gmm_target(np.array([0.5, 0.5]), means, 1.0)
-        assert np.allclose(m.score(np.zeros(2)), 0.0, atol=1e-14)
+        assert np.allclose(m.score(np.zeros((1, 2))), 0.0, atol=1e-14)
 
     def test_finite_difference_score(self):
         rng = stream_rng(3, 0)
@@ -118,7 +124,7 @@ class TestGaussBernoulliRBM:
         t = gauss_bernoulli_rbm_target(params)
         rng = stream_rng(4, 0)
         for _ in range(5):
-            x = rng.standard_normal(2)
+            x = rng.standard_normal(2)[None]
             assert np.allclose(t.score(x), b - x, atol=1e-12)
 
     def test_finite_difference_score(self):
@@ -257,7 +263,7 @@ class TestBruteForce:
 
     def test_resource_limit(self):
         big = type(ising_target(grid_ising(2, 2, 0.1)))(
-            dims=25, alphabet=(-1.0, 1.0), log_mass=lambda z: np.zeros(np.atleast_2d(z).shape[0])
+            dims=25, alphabet=(-1.0, 1.0), log_mass=lambda z: np.zeros(z.shape[0])
         )
         with pytest.raises(StateSpaceTooLargeError):
             brute_force_distribution(big)
@@ -323,7 +329,7 @@ class TestFiniteDifferenceScore:
         from steinkit.models import ContinuousTarget
 
         a = np.array([0.3, -2.0])
-        t = ContinuousTarget(dim=2, log_density=lambda x: np.atleast_2d(x) @ a, score=None)
+        t = ContinuousTarget(dim=2, log_density=lambda x: x @ a, score=None)
         fd = finite_difference_score(t, np.array([1.0, 1.0]), 1e-4)
         assert np.allclose(fd, a, atol=1e-10)
 
@@ -335,13 +341,13 @@ class TestFiniteDifferenceScore:
 
             return ContinuousTarget(
                 dim=1,
-                log_density=lambda x: -np.atleast_2d(x)[:, 0] ** 4,
-                score=lambda x: -4.0 * np.atleast_2d(x) ** 3,
+                log_density=lambda x: -x[:, 0] ** 4,
+                score=lambda x: -4.0 * x ** 3,
             )
 
         q = quartic_target()
         x = np.array([0.9])
-        exact = q.score(x)[0]
+        exact = q.score(x[None])[0]
         e1 = abs(finite_difference_score(q, x, 2e-2)[0] - exact)
         e2 = abs(finite_difference_score(q, x, 1e-2)[0] - exact)
         assert 3.5 < e1 / e2 < 4.5
@@ -353,3 +359,78 @@ class TestFiniteDifferenceScore:
         z = sample_discrete_target(stream_rng(12, 0), 100000, t)
         emp = np.array([np.mean(np.all(z == s, axis=1)) for s in states])
         assert np.max(np.abs(emp - probs)) < 0.01
+
+
+def batch_only(fn):
+    """``fn`` behind a check that it is called with a float (n, d) array."""
+    if fn is None:
+        return None
+
+    def checked(x):
+        if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == float):
+            raise AssertionError(f"called with {type(x).__name__} of ndim {np.ndim(x)}, not a float (n, d) array")
+        return fn(x)
+
+    return checked
+
+
+def batch_only_target(t):
+    if isinstance(t, DiscreteTarget):
+        return DiscreteTarget(dims=t.dims, alphabet=t.alphabet, log_mass=batch_only(t.log_mass),
+                              relaxed_score=batch_only(t.relaxed_score))
+    return ContinuousTarget(dim=t.dim, log_density=batch_only(t.log_density), score=batch_only(t.score))
+
+
+class TestBatchContract:
+    """Every path of the library calls targets, surrogates and proposal
+    densities with (n, d) batches only: these targets raise on anything else."""
+
+    KERN = KernelSpec()
+    ADAM = svgd.StepSchedule()
+    DECAY = svgd.StepSchedule(mode="decay", eps=0.3)
+    P = batch_only_target(gaussian_target(np.array([0.5, -0.5]), 1.0))
+    RHO = batch_only_target(gaussian_target(np.zeros(2), 2.0))
+    Q0 = staticmethod(gaussian_sampler(np.zeros(2), 2.0))
+    Q0_LOGPDF = staticmethod(batch_only(gaussian_logpdf(np.zeros(2), 2.0)))
+    ISING = batch_only_target(ising_target(grid_ising(2, 2, 0.3)))
+
+    @staticmethod
+    def rng():
+        return stream_rng(95, 0)
+
+    def test_svgd(self):
+        svgd.run_svgd(self.P, 10, 3, self.KERN, self.ADAM, self.rng(), self.Q0)
+        svgd.run_annealed_svgd(self.RHO, self.P, np.linspace(0.0, 1.0, 4), 1, 10, self.KERN, self.ADAM,
+                               self.rng(), self.Q0)
+
+    def test_gf_svgd(self):
+        gfsvgd.run_gf_svgd(self.P, self.RHO, 10, 3, self.KERN, self.ADAM, "self-normalized", self.rng(), self.Q0)
+
+    def test_agf_svgd(self):
+        gfsvgd.run_agf_svgd(self.P, self.RHO, np.linspace(0.0, 1.0, 4), 10, self.KERN, self.ADAM, self.rng(),
+                            self.Q0)
+
+    def test_steinis(self):
+        steinis.run_steinis(self.P, self.Q0, self.Q0_LOGPDF, 5, 5, 3, self.KERN, self.DECAY, self.rng())
+
+    def test_path_logz(self):
+        steinis.path_integration_logZ(self.P, self.Q0, self.Q0_LOGPDF, 10, 3, KernelSpec(1.0),
+                                      svgd.StepSchedule(mode="constant", eps=0.05), 50, self.rng())
+
+    @pytest.mark.parametrize("mode", ["base", "relaxed"])
+    def test_sample_discrete(self, mode):
+        discrete.sample_discrete(self.ISING, mode, 10, 3, self.KERN, self.ADAM, self.rng())
+
+    @pytest.mark.parametrize("mode", ["base", "relaxed"])
+    def test_gof(self, mode):
+        z = sample_discrete_target(self.rng(), 20, self.ISING)
+        gof.gof_test(z, self.ISING, m=20, surrogate_mode=mode)
+
+    def test_bbis_gram(self):
+        x = self.Q0(self.rng(), 10)
+        ksd.gf_stein_gram(x, self.RHO, self.P.log_density, median_bandwidth(x))
+
+    def test_oracles(self):
+        brute_force_distribution(self.ISING)
+        gibbs_sweep(self.ISING, np.ones(4), self.rng())
+        finite_difference_score(self.P, np.array([0.1, 0.2]), 1e-5)

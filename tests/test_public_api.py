@@ -9,6 +9,10 @@ name), or an entry point in ``pyproject.toml``.  Names mentioned in
 docstrings and comments do not count.  The README section "Public functions
 that only tests call" gives a keep-or-delete line for each name that is not
 used, and for no other.
+
+No module of the package imports an underscore name from another of its
+modules, or reads one off an imported package module: a name that two
+modules share is public.
 """
 
 import ast
@@ -65,3 +69,29 @@ def test_readme_lists_exactly_the_public_names_only_tests_use():
     listed = _readme_list()
     assert unused == listed, {"unused but not listed": sorted(unused - listed),
                               "listed but used elsewhere or gone": sorted(listed - unused)}
+
+
+def _private_cross_module_uses(path):
+    """``module.name`` for every underscore name that ``path`` imports from,
+    or reads off, another steinkit module."""
+    tree = ast.parse(path.read_text())
+    modules = {}  # local name -> steinkit module bound by ``from . import x``
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("steinkit")):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if not source or source == "steinkit":
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append(f"{source}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+                and node.attr.startswith("_") and not node.attr.startswith("__")):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = {path.stem: uses for path in sorted(PACKAGE.glob("*.py")) if (uses := _private_cross_module_uses(path))}
+    assert not found, found

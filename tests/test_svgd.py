@@ -53,7 +53,7 @@ class TestDirection:
         assert np.array_equal(svgd_direction(x, t, KERN), svgd_direction(x, shifted, KERN))
 
     def test_missing_score_raises(self):
-        t = ContinuousTarget(dim=1, log_density=lambda x: -np.atleast_2d(x)[:, 0] ** 2, score=None)
+        t = ContinuousTarget(dim=1, log_density=lambda x: -x[:, 0] ** 2, score=None)
         with pytest.raises(MissingScoreError):
             svgd_direction(np.zeros((2, 1)), t, KERN)
 
@@ -167,9 +167,9 @@ class TestAnnealedTargets:
         path = annealed_targets(p0, p, np.array([0.0, 0.4, 1.0]))
         rng = stream_rng(25, 0)
         for _ in range(5):
-            x = rng.standard_normal(1)
-            assert path[0].log_density(x) == p0.log_density(x)
-            assert path[-1].log_density(x) == p.log_density(x)
+            x = rng.standard_normal(1)[None]
+            assert np.array_equal(path[0].log_density(x), p0.log_density(x))
+            assert np.array_equal(path[-1].log_density(x), p.log_density(x))
             assert np.array_equal(path[-1].score(x), p.score(x))
 
     def test_gaussian_interpolation_closed_form(self):
@@ -182,8 +182,8 @@ class TestAnnealedTargets:
         oracle = gaussian_target(np.zeros(1), 1.0 / prec)
         rng = stream_rng(26, 0)
         for _ in range(5):
-            x = rng.standard_normal(1)
-            assert mid.score(x)[0] == pytest.approx(oracle.score(x)[0], rel=1e-12)
+            x = rng.standard_normal(1)[None]
+            assert mid.score(x)[0, 0] == pytest.approx(oracle.score(x)[0, 0], rel=1e-12)
 
     def test_non_monotone_betas_rejected(self):
         p = gaussian_target(np.zeros(1), 1.0)
@@ -195,8 +195,7 @@ class TestAnnealedTargets:
         # with constant p0 the annealed score is beta * s_p; dividing the
         # direction by beta matches the 1/beta-weighted repulsive form
         p = gaussian_target(np.zeros(1), 1.0)
-        p0 = ContinuousTarget(dim=1, log_density=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
-                              score=lambda x: np.zeros_like(np.atleast_2d(x)))
+        p0 = ContinuousTarget(dim=1, log_density=lambda x: np.zeros(x.shape[0]), score=np.zeros_like)
         beta = 0.25
         mid = annealed_targets(p0, p, np.array([0.0, beta, 1.0]))[1]
         x = stream_rng(27, 0).standard_normal((6, 1))
