@@ -8,7 +8,10 @@ in each checkout for the ``run_seconds`` of ``BENCHMARK.json``, alternating
 which side goes first, so that slow stretches of the host fall on both sides
 alike.  Records every run's metrics, then per metric the median and
 interquartile range of each side and the number of pairs that the change won.
-Then times acceptance criteria 4 and 5 in each checkout (``pytest
+Each end-to-end metric of ``BENCHMARK.json`` also records its ``bound`` and
+whether the change's median is worse than the base's by more than that bound,
+read as a fraction of the base's median (``breach``); every breach is printed
+on stderr at the end.  Then times acceptance criteria 4 and 5 in each checkout (``pytest
 --durations=0``, with single-threaded BLAS as in clibench).  The machine
 (cores, Python, numpy/scipy/BLAS versions) goes into the file as well.
 
@@ -82,6 +85,24 @@ def summarize(base: list, change: list) -> dict:
             "change_lower_in": int(np.sum(c < b)), "pairs": len(b)}
 
 
+def mark_breaches(summary: dict, end_to_end: list) -> list:
+    """Add ``bound`` and ``breach`` to each end-to-end metric of one workload's
+    summary; return the messages of the breaches."""
+    messages = []
+    for spec in end_to_end:
+        s = summary.get(spec["name"])
+        if s is None:
+            continue
+        base, change = s["base_median"], s["change_median"]
+        worse = change - base if spec["better"] == "lower" else base - change
+        s["bound"] = spec["bound"]
+        s["breach"] = bool(worse > spec["bound"] * abs(base))
+        if s["breach"]:
+            messages.append(f"{spec['name']}: median {base:.4g} -> {change:.4g} {spec['unit']}, "
+                            f"worse by {worse / abs(base):.1%}, bound {spec['bound']:.0%}")
+    return messages
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
@@ -105,8 +126,10 @@ def main():
     if args.seeds is None:
         ap.error("--seeds is required without --tier1")
     first, last = (int(s) for s in args.seeds.split("-"))
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     result = {"machine": machine(), "seconds": seconds, "workloads": {}}
+    breaches = []
     for workload in WORKLOADS:
         runs = {"base": [], "change": []}
         for i, seed in enumerate(range(first, last + 1)):
@@ -116,14 +139,15 @@ def main():
                 runs[side].append({"seed": seed, **run})
                 print(workload, seed, side, json.dumps(run), file=sys.stderr)
         metrics = sorted(runs["base"][0]["metrics"])
-        result["workloads"][workload] = {
-            "summary": {m: summarize([r["metrics"][m]["value"] for r in runs["base"]],
-                                     [r["metrics"][m]["value"] for r in runs["change"]]) for m in metrics},
-            "runs": runs,
-        }
+        summary = {m: summarize([r["metrics"][m]["value"] for r in runs["base"]],
+                                [r["metrics"][m]["value"] for r in runs["change"]]) for m in metrics}
+        breaches += [f"{workload} {msg}" for msg in mark_breaches(summary, bench["end_to_end"])]
+        result["workloads"][workload] = {"summary": summary, "runs": runs}
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     result["criteria_4_5"] = {side: criteria_durations(getattr(args, side)) for side in ("base", "change")}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for line in breaches:
+        print(f"bound breached: {line}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ coupling value.
 import argparse
 from pathlib import Path
 
+from steinkit.discrete import base_surrogate
 from steinkit.gof import gof_test
 from steinkit.models import grid_ising, ising_target, sample_discrete_target
 from steinkit.rngs import stream_rng
@@ -24,13 +25,14 @@ def main():
     args = ap.parse_args()
 
     null = ising_target(grid_ising(3, 3, args.theta_null))
+    surrogate = base_surrogate(null)
     rows = ["theta_data,n,reps,rejection_rate"]
     for theta in args.thetas:
         data_target = ising_target(grid_ising(3, 3, theta))
         hits = 0
         for r in range(args.reps):
             z = sample_discrete_target(stream_rng(args.seed, int(theta * 1000), r), args.n, data_target)
-            report = gof_test(z, null, alpha=0.05, m=1000,
+            report = gof_test(z, null, surrogate, alpha=0.05, m=1000,
                               seed=args.seed * 1_000_000 + int(theta * 1000) * 1000 + r)
             hits += report.reject
         rate = hits / args.reps

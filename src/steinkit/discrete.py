@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-from scipy.special import expit, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from .errors import InvalidLambdaError
 from .gfsvgd import GFSVGDResult, run_gf_svgd
@@ -42,6 +42,33 @@ def bin_indices(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
         raise ValueError("gamma map requires finite inputs")
     inner = bin_thresholds(len(target.alphabet))[1:-1]
     return np.searchsorted(inner, x, side="right")
+
+
+def within_bin_positions(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
+    """u = K * Phi(x) - bin index of every coordinate: where x lies inside its
+    bin, on the scale of base mass.  Under p_c the u are iid Uniform[0, 1) and
+    independent of the states whatever the target, because given its state x
+    is the base restricted to that state's box."""
+    return len(target.alphabet) * ndtr(x) - bin_indices(x, target)
+
+
+def uniform_ks_statistic(u: np.ndarray) -> float:
+    """Kolmogorov-Smirnov statistic sup |F_n - F| of all entries of ``u``
+    against Uniform[0, 1), whose cdf F clips u to [0, 1]."""
+    u = np.sort(np.clip(u, 0.0, 1.0), axis=None)
+    n = u.size
+    return float(max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n)))
+
+
+def within_bin_ks(x: np.ndarray, target: DiscreteTarget) -> float:
+    """The largest, over the K bins, of the KS statistic of the within-bin
+    positions of the coordinates in that bin against Uniform[0, 1).  Pooled
+    over the bins, a collapse toward the origin would cancel: it moves u up in
+    the bins below the median and down in those above.  A necessary check of
+    a sample of p_c, not a sufficient one: the base N(0, I) passes it."""
+    u = within_bin_positions(x, target)
+    idx = bin_indices(x, target)
+    return max(uniform_ks_statistic(u[idx == b]) for b in np.unique(idx))
 
 
 def gamma_map(x: np.ndarray, target: DiscreteTarget) -> np.ndarray:
@@ -122,7 +149,7 @@ def sign_relaxation_deriv(t: np.ndarray) -> np.ndarray:
     return 2.0 * expit(t) * expit(-t)
 
 
-def smooth_relaxation_surrogate(target: DiscreteTarget, temperature: float = 10.0) -> ContinuousTarget:
+def smooth_relaxation_surrogate(target: DiscreteTarget, temperature: float) -> ContinuousTarget:
     """Relax the state map inside the energy: rho(x) = p0(x) * exp(energy(sigma(tau x))).
 
     The energy is ``target.log_mass`` evaluated at the real-valued relaxed
@@ -143,22 +170,6 @@ def smooth_relaxation_surrogate(target: DiscreteTarget, temperature: float = 10.
     return ContinuousTarget(dim=target.dims, log_density=logp, score=score)
 
 
-def resolve_surrogate(
-    mode: Union[str, ContinuousTarget],
-    target: DiscreteTarget,
-    temperature: float = 10.0,
-) -> ContinuousTarget:
-    """The surrogate named by ``mode`` (``"base"`` or ``"relaxed"``), or
-    ``mode`` itself when it is already a surrogate (e.g. ``ising_surrogate``)."""
-    if isinstance(mode, ContinuousTarget):
-        return mode
-    if mode == "base":
-        return base_surrogate(target)
-    if mode == "relaxed":
-        return smooth_relaxation_surrogate(target, temperature)
-    raise ValueError(f"unknown surrogate mode: {mode!r}")
-
-
 @dataclass(frozen=True)
 class DiscreteSampleResult:
     states: np.ndarray
@@ -167,21 +178,18 @@ class DiscreteSampleResult:
 
 def sample_discrete(
     target: DiscreteTarget,
-    surrogate_mode: Union[str, ContinuousTarget],
+    surrogate: ContinuousTarget,
     n: int,
     iters: int,
     kernel: KernelSpec,
     schedule: StepSchedule,
     rng: np.random.Generator,
-    temperature: float = 10.0,
 ) -> DiscreteSampleResult:
-    """Draw approximate samples from a discrete target via GF-SVGD on p_c.
-
-    ``surrogate_mode`` is as in ``resolve_surrogate``.  Particles start from
-    the standard-normal base, and the final particles map to states through
-    the quantile bins.
+    """Draw approximate samples from a discrete target via GF-SVGD on p_c,
+    driven by ``surrogate`` (``base_surrogate``, ``smooth_relaxation_surrogate``
+    or ``ising_surrogate``).  Particles start from the standard-normal base,
+    and the final particles map to states through the quantile bins.
     """
-    surrogate = resolve_surrogate(surrogate_mode, target, temperature)
     result = run_gf_svgd(
         target=pc_target(target),
         surrogate=surrogate,

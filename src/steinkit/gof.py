@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .discrete import (  # noqa: F401  (the two surrogate factories stay importa
     base_surrogate,
     continuize_data,
     pc_log_density,
-    resolve_surrogate,
     smooth_relaxation_surrogate,
 )
 from .gfsvgd import WeightedSample
@@ -60,18 +58,16 @@ def gof_gram(
     z_data: np.ndarray,
     null_target: DiscreteTarget,
     rng: np.random.Generator,
-    surrogate_mode: Union[str, ContinuousTarget] = "base",
+    surrogate: ContinuousTarget,
     kernel: KernelSpec = KernelSpec(),
 ) -> np.ndarray:
     """The n x n gradient-free Stein kernel matrix of the continuized data
     against the null's continuous parameterization (log-weights centered, so
-    the matrix carries an arbitrary positive scale).  ``surrogate_mode`` is as
-    in ``resolve_surrogate``; the bandwidth is ``kernel``'s over the
-    continuized points."""
+    the matrix carries an arbitrary positive scale), with the score of
+    ``surrogate``; the bandwidth is ``kernel``'s over the continuized points."""
     if z_data.shape[0] < 2:
         raise ValueError("goodness-of-fit testing needs at least two data points")
     x = continuize_data(z_data, null_target, rng)
-    surrogate = resolve_surrogate(surrogate_mode, null_target)
     sq = pairwise_sq_dists(x, x)
     h = resolve_bandwidth(kernel, x, sq)
     gram = gf_stein_gram(x, surrogate, lambda pts: pc_log_density(pts, null_target), h, sq=sq)
@@ -107,10 +103,10 @@ def _critical_value(replicates: np.ndarray, statistic: float, alpha: float) -> f
 def gof_test(
     z_data: np.ndarray,
     null_target: DiscreteTarget,
+    surrogate: ContinuousTarget,
     alpha: float = 0.05,
     m: int = 1000,
     seed: int = 0,
-    surrogate_mode: Union[str, ContinuousTarget] = "base",
     kernel: KernelSpec = KernelSpec(),
 ) -> TestReport:
     """Bootstrap goodness-of-fit test of the data against ``null_target``.
@@ -118,7 +114,7 @@ def gof_test(
     The p-value uses the finite-sample correction (r + 1) / (m + 1) where r
     counts replicates at or above the statistic.
     """
-    gram = gof_gram(z_data, null_target, stream_rng(seed, 0), surrogate_mode, kernel)
+    gram = gof_gram(z_data, null_target, stream_rng(seed, 0), surrogate, kernel)
     statistic = u_statistic_from_gram(gram)
     replicates = bootstrap_null(gram, m, stream_rng(seed, 1))
     r = int(np.sum(replicates >= statistic))

@@ -20,10 +20,11 @@ MEDIAN_HEURISTIC = "median-heuristic"
 # doubles in one block of the (rows, m, d) difference temporary of pairwise_sq_dists (1 MB)
 DIFF_BUDGET = 2 ** 17
 # up to this many coordinates the difference temporary is filled per coordinate;
-# above it, by a copy and one subtraction along the point axis (the per-coordinate
-# fill is faster at d = 2..4 and slower from 6; whole calls at d = 5 ran 5-20%
-# faster with the two-step fill, a margin this threshold does not yet act on)
-FEW_COORDS = 5
+# above it, by a copy and one subtraction along the point axis.  Against the
+# two-step fill, whole calls took 0.94-0.99 times as long with the per-coordinate
+# fill at d = 4 and 1.05-1.21 times at d = 5, so d <= 4 fills per coordinate and
+# d >= 5 in two steps
+FEW_COORDS = 4
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,10 @@ def _differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in one loop over the whole (m, d) plane of each row.  Per 1 MB block at
     m = 100, 500 and 1000 points, the per-coordinate fill took 0.30-0.42 of
     the two-step fill's time in d = 2, 0.5-0.8 in d = 3, 0.7-1.15 in d = 4
-    and 0.95-1.4 in d = 5.  In d = 9 the two-step fill took 0.14-0.22 ms,
-    against 0.22-0.36 ms for the broadcast and 0.35-0.44 ms for the
-    per-coordinate fill; it beat the broadcast at every d from 1 to 12."""
+    (at the cutoff) and 0.95-1.4 in d = 5 (past it).  In d = 9 the two-step
+    fill took 0.14-0.22 ms, against 0.22-0.36 ms for the broadcast and
+    0.35-0.44 ms for the per-coordinate fill; it beat the broadcast at every d
+    from 1 to 12."""
     d = a.shape[1]
     out = np.empty((a.shape[0], b.shape[0], d))
     if d > FEW_COORDS:

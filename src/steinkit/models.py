@@ -346,22 +346,28 @@ def sample_discrete_target(rng: np.random.Generator, n: int, target: DiscreteTar
     return states[rng.choice(states.shape[0], size=n, p=probs)]
 
 
-def conditional_probs(target: DiscreteTarget, state: np.ndarray, coord: int) -> np.ndarray:
-    """Exact conditional p(z_coord = a | rest) over the alphabet, from log-mass differences."""
+def conditional_probs(target: DiscreteTarget, states: np.ndarray, coord: int) -> np.ndarray:
+    """Exact conditionals p(z_coord = a | rest) of every row of the (chains, d)
+    ``states``, as a (chains, K) array, from one ``log_mass`` call on the
+    (chains * K, d) candidates."""
     k = len(target.alphabet)
-    cand = np.repeat(state[None, :], k, axis=0)
-    cand[:, coord] = target.alphabet
-    logm = target.log_mass(cand)
-    p = np.exp(logm - logm.max())
-    return p / p.sum()
+    cand = np.repeat(states, k, axis=0)
+    cand[:, coord] = np.tile(target.alphabet, states.shape[0])
+    logm = target.log_mass(cand).reshape(-1, k)
+    p = np.exp(logm - logm.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
 
 
-def gibbs_sweep(target: DiscreteTarget, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One systematic Gibbs sweep; resamples each coordinate in order, in place."""
+def gibbs_sweep(target: DiscreteTarget, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One systematic Gibbs sweep of every chain, a row of the float (chains, d)
+    ``states``: each coordinate in order is redrawn from its conditional by
+    inverting the conditional cdf at one uniform per chain, in place."""
+    alphabet = np.asarray(target.alphabet, dtype=float)
     for coord in range(target.dims):
-        p = conditional_probs(target, state, coord)
-        state[coord] = target.alphabet[rng.choice(len(p), p=p)]
-    return state
+        cdf = np.cumsum(conditional_probs(target, states, coord), axis=1)
+        u = rng.random((states.shape[0], 1))
+        states[:, coord] = alphabet[(u >= cdf[:, :-1]).sum(axis=1)]
+    return states
 
 
 def finite_difference_score(target: ContinuousTarget, x: np.ndarray, eps: float) -> np.ndarray:

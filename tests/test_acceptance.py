@@ -167,7 +167,7 @@ def test_criterion_8_discrete_sampler():
         return np.array([lookup[v] for v in z[:, 0]])
 
     cat = models.DiscreteTarget(dims=1, alphabet=states, log_mass=log_mass)
-    res = discrete.sample_discrete(cat, "base", 500, 500, KERN_MEDIAN, ADAM, stream_rng(0, 0))
+    res = discrete.sample_discrete(cat, discrete.base_surrogate(cat), 500, 500, KERN_MEDIAN, ADAM, stream_rng(0, 0))
     freq = np.array([np.mean(res.states[:, 0] == a) for a in states])
     tv = 0.5 * float(np.abs(freq - masses).sum())
 
@@ -191,14 +191,14 @@ def test_criterion_8_discrete_sampler():
 def test_criterion_9_gof_calibration_and_power():
     null_params = models.grid_ising(3, 3, 0.2)
     null = models.ising_target(null_params)
+    relaxed = discrete.smooth_relaxation_surrogate(null, 10.0)
 
     def rejection_rate(theta_data, n, reps, seed):
         data_target = models.ising_target(models.grid_ising(3, 3, theta_data))
         hits = 0
         for r in range(reps):
             z = models.sample_discrete_target(stream_rng(seed, r, 0), n, data_target)
-            rep = gof.gof_test(z, null, alpha=0.05, m=1000, seed=seed * 100_000 + r,
-                               surrogate_mode="relaxed")
+            rep = gof.gof_test(z, null, relaxed, alpha=0.05, m=1000, seed=seed * 100_000 + r)
             hits += rep.reject
         return hits / reps
 

@@ -92,6 +92,14 @@ BAD_INPUT = {
                                     "surrogate_mode": "exact"}, None),
     "discrete-sample-surrogate-exact": ("discrete-sample", {"model": ISING_2X2, "n": 10, "iters": 2,
                                                            "surrogate_mode": "exact"}, None),
+    # a key that the chosen surrogate does not read
+    "discrete-sample-lam-without-ising": ("discrete-sample", {"model": ISING_2X2, "n": 10, "iters": 2, "lam": 2.0},
+                                          None, "lam"),
+    "discrete-sample-temperature-without-relaxed": ("discrete-sample", {"model": ISING_2X2, "n": 10, "iters": 2,
+                                                                        "surrogate_mode": "ising",
+                                                                        "temperature": 5.0}, None, "temperature"),
+    "gof-lam-without-ising": ("gof", {"model": ISING_2X2, "data": {"model": ISING_2X2, "n": 20},
+                                      "surrogate_mode": "relaxed", "lam": 2.0}, None, "lam"),
     "categorical-duplicate-states": ("discrete-sample", {"model": DUPLICATE_STATES, "n": 10, "iters": 2}, None),
     "oracle-without-model": ("oracle", {"oracle": "brute-force"}, None),
     "oracle-unread-eps": ("oracle", {"oracle": "finite-difference-score", "model": GAUSS_1D, "eps": 1e-4}, None),
@@ -318,6 +326,8 @@ class TestSubcommands:
         rows = (tmp_path / "o" / "samples.csv").read_text().strip().splitlines()
         vals = {int(r) for r in rows}
         assert vals <= {0, 1, 2}
+        ks = json.loads((tmp_path / "o" / "summary.json").read_text())["results"]["within_bin_ks"]
+        assert 0.0 < ks <= 1.0
 
     def test_gof_report(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

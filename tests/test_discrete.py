@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from scipy.stats import kstest
 
 from steinkit.discrete import (
+    base_surrogate,
     bin_indices,
     bin_thresholds,
     continuize_data,
@@ -18,9 +19,11 @@ from steinkit.discrete import (
     sign_relaxation_deriv,
     smooth_relaxation_surrogate,
     state_index_rows,
+    uniform_ks_statistic,
+    within_bin_ks,
+    within_bin_positions,
 )
 from steinkit.errors import InvalidLambdaError
-from steinkit.gof import gof_gram, gof_test
 from steinkit.kernels import KernelSpec
 from steinkit.models import (
     ContinuousTarget,
@@ -33,6 +36,7 @@ from steinkit.models import (
     grid_ising,
     ising_target,
     random_bernoulli_rbm,
+    sample_discrete_target,
 )
 from steinkit.rngs import stream_rng
 from steinkit.svgd import StepSchedule
@@ -189,7 +193,7 @@ class TestSurrogates:
     def test_relaxation_needs_relaxed_energy(self):
         t = categorical_target([-1.0, 1.0], [0.4, 0.6])
         with pytest.raises(ValueError):
-            smooth_relaxation_surrogate(t)
+            smooth_relaxation_surrogate(t, 10.0)
 
 
 class TestContinuize:
@@ -220,10 +224,46 @@ class TestContinuize:
             state_index_rows(np.array([[0.5]]), t)
 
 
+def exact_lift(target, seed):
+    """500 exact draws of a 3x3 grid, or 500 arbitrary states of a larger one
+    (the within-bin law does not depend on the states), lifted to p_c."""
+    rng = stream_rng(66, target.dims, seed)
+    if target.dims <= 9:
+        z = sample_discrete_target(rng, 500, target)
+    else:
+        z = np.asarray(target.alphabet)[rng.integers(0, 2, size=(500, target.dims))]
+    return continuize_data(z, target, rng)
+
+
+class TestWithinBin:
+    # Exact lifts at seeds 0-19 gave a within_bin_ks of at most 0.036 on 3x3
+    # (about 2,250 positions per bin) and 0.0086 on 10x10; the same lifts scaled
+    # by 0.6 gave at least 0.237.  The sampler gives 0.25-0.37 on 3x3.
+    THRESHOLD = 0.06
+
+    def test_positions_are_the_lift_draws(self):
+        t = categorical_target([-1.0, -0.5, 0.0, 0.5, 1.0], [0.1, 0.2, 0.3, 0.1, 0.3])
+        z = np.asarray(t.alphabet)[stream_rng(66, 0).integers(0, 5, size=(2000, 1))]
+        u = within_bin_positions(continuize_data(z, t, stream_rng(66, 1)), t)
+        assert np.allclose(u, stream_rng(66, 1).random(z.shape), rtol=0, atol=1e-12)
+
+    def test_ks_statistic_matches_scipy(self):
+        u = stream_rng(66, 2).random(1000) ** 1.3
+        assert uniform_ks_statistic(u) == pytest.approx(kstest(u, "uniform").statistic, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("side", [3, 10])
+    def test_accepts_exact_lifts_and_rejects_a_collapse(self, side):
+        t = ising_target(grid_ising(side, side, 0.2))
+        for seed in range(20):
+            x = exact_lift(t, seed)
+            assert within_bin_ks(x, t) < self.THRESHOLD
+            assert within_bin_ks(0.6 * x, t) > self.THRESHOLD
+
+
 class TestSampleDiscrete:
     def test_uniform_target_frequencies(self):
         t = categorical_target([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2] * 5)
-        res = sample_discrete(t, "base", n=500, iters=300, kernel=KernelSpec(),
+        res = sample_discrete(t, base_surrogate(t), n=500, iters=300, kernel=KernelSpec(),
                               schedule=StepSchedule(mode="adam", eps=0.05), rng=stream_rng(65, 0))
         freq = np.array([np.mean(res.states[:, 0] == a) for a in t.alphabet])
         stderr = np.sqrt(0.2 * 0.8 / 500)
@@ -236,14 +276,3 @@ class TestSampleDiscrete:
         via_ising = sample_discrete(t, ising_surrogate(params), n=500, iters=400, kernel=KernelSpec(),
                                     schedule=StepSchedule(mode="adam", eps=0.05), rng=stream_rng(65, 2))
         assert np.max(np.abs(via_ising.states.mean(axis=0) - oracle)) < 0.1
-
-    def test_unknown_mode_rejected(self):
-        t = categorical_target([-1.0, 1.0], [0.5, 0.5])
-        z = np.array([[-1.0], [1.0], [1.0]])
-        for mode in ("bogus", "exact", "ising"):
-            with pytest.raises(ValueError, match="unknown surrogate mode"):
-                sample_discrete(t, mode, 10, 5, KernelSpec(), StepSchedule(), stream_rng(0, 0))
-            with pytest.raises(ValueError, match="unknown surrogate mode"):
-                gof_gram(z, t, stream_rng(0, 1), surrogate_mode=mode)
-            with pytest.raises(ValueError, match="unknown surrogate mode"):
-                gof_test(z, t, m=10, surrogate_mode=mode)

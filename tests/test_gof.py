@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from steinkit.discrete import continuize_data
+from steinkit.discrete import base_surrogate, continuize_data, smooth_relaxation_surrogate
 from steinkit.gof import (
     TestReport,
     bootstrap_null,
@@ -35,7 +35,7 @@ class TestStatistic:
     def test_two_points_is_single_kernel_value(self):
         t = three_state_target()
         z = np.array([[-1.0], [1.0]])
-        gram = gof_gram(z, t, stream_rng(71, 0))
+        gram = gof_gram(z, t, stream_rng(71, 0), base_surrogate(t))
         stat = u_statistic_from_gram(gram)
         assert stat == pytest.approx(gram[0, 1], rel=1e-12)
 
@@ -44,7 +44,7 @@ class TestStatistic:
         stats = []
         for r in range(200):
             z = sample_discrete_target(stream_rng(71, 1, r), 40, t)
-            stats.append(u_statistic_from_gram(gof_gram(z, t, stream_rng(71, 2, r))))
+            stats.append(u_statistic_from_gram(gof_gram(z, t, stream_rng(71, 2, r), base_surrogate(t))))
         stats = np.array(stats)
         stderr = stats.std(ddof=1) / np.sqrt(stats.size)
         assert abs(stats.mean()) < 4 * stderr
@@ -54,7 +54,7 @@ class TestStatistic:
         # cross-copy pairs, whose kernel values sit on the tiled diagonal
         t = three_state_target()
         z = sample_discrete_target(stream_rng(71, 3), 30, t)
-        gram = gof_gram(z, t, stream_rng(71, 4))
+        gram = gof_gram(z, t, stream_rng(71, 4), base_surrogate(t))
         n = gram.shape[0]
         tiled = np.tile(gram, (2, 2))
         direct = u_statistic_from_gram(tiled)
@@ -65,13 +65,13 @@ class TestStatistic:
         t = ising_target(grid_ising(2, 2, 0.3))
         z = sample_discrete_target(stream_rng(71, 6), 40, t)
         h = median_bandwidth(continuize_data(z, t, stream_rng(71, 7)))
-        fixed = gof_gram(z, t, stream_rng(71, 7), kernel=KernelSpec(h))
-        assert np.array_equal(fixed, gof_gram(z, t, stream_rng(71, 7)))
+        fixed = gof_gram(z, t, stream_rng(71, 7), base_surrogate(t), kernel=KernelSpec(h))
+        assert np.array_equal(fixed, gof_gram(z, t, stream_rng(71, 7), base_surrogate(t)))
 
     def test_needs_two_points(self):
         t = three_state_target()
         with pytest.raises(ValueError):
-            gof_gram(np.array([[0.0]]), t, stream_rng(71, 5))
+            gof_gram(np.array([[0.0]]), t, stream_rng(71, 5), base_surrogate(t))
 
 
 class TestBootstrap:
@@ -99,7 +99,7 @@ class TestBootstrap:
     def test_permutation_exchangeability(self):
         t = three_state_target()
         z = sample_discrete_target(stream_rng(72, 4), 25, t)
-        gram = gof_gram(z, t, stream_rng(72, 5))
+        gram = gof_gram(z, t, stream_rng(72, 5), base_surrogate(t))
         perm = stream_rng(72, 6).permutation(25)
         gram_p = gram[np.ix_(perm, perm)]
         assert u_statistic_from_gram(gram_p) == pytest.approx(u_statistic_from_gram(gram), rel=1e-12)
@@ -114,7 +114,7 @@ class TestBootstrap:
 
 class TestReportInvariants:
     def _run(self, z, t, alpha=0.05, seed=3):
-        return gof_test(z, t, alpha=alpha, m=400, seed=seed)
+        return gof_test(z, t, base_surrogate(t), alpha=alpha, m=400, seed=seed)
 
     def test_consistency_of_fields(self):
         t = three_state_target()
@@ -157,8 +157,7 @@ class TestRBMNullSmoke:
         reps = 120
         for r in range(reps):
             z = sample_discrete_target(stream_rng(555, 1, r), 100, t)
-            rep = gof_test(z, t, alpha=0.05, m=500, seed=555_000 + r,
-                           surrogate_mode="relaxed")
+            rep = gof_test(z, t, smooth_relaxation_surrogate(t, 10.0), alpha=0.05, m=500, seed=555_000 + r)
             hits += rep.reject
         assert hits / reps <= 0.1
 
@@ -173,7 +172,7 @@ class TestMonotonePower:
             reps = 40
             for r in range(reps):
                 z = sample_discrete_target(stream_rng(74, int(theta * 100), r), 300, data_target)
-                rep = gof_test(z, null, alpha=0.05, m=300, seed=740_000 + r)
+                rep = gof_test(z, null, base_surrogate(null), alpha=0.05, m=300, seed=740_000 + r)
                 hits += rep.reject
             rates.append(hits / reps)
         assert rates[1] >= rates[0] - 0.02

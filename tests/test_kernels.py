@@ -97,11 +97,12 @@ def broadcast_sq_dists(x, y):
 class TestPairwiseSqDists:
     # (29|30|31, d=4500) put one row per block on either side of the block
     # budget; the others cover one block, several blocks, and block remainders.
-    # d <= FEW_COORDS fills the differences per coordinate: (300, 300, 4) and
-    # (250, 170, 3) take several blocks that way, (100, 100, 5) is at the
-    # cutoff and (100, 100, 6) just past it.  Past it, (200, 77, 7) and
-    # (3, 1000, 9) are one-block cross calls, and (700, 300, 7) and
-    # (450, 450, 8) take several blocks with a remainder, either way round
+    # d <= FEW_COORDS = 4 fills the differences per coordinate: (300, 300, 4)
+    # is at the cutoff and (250, 170, 3) below it, both in several blocks;
+    # (100, 100, 5) is just past it and (100, 100, 6) further.  Past it,
+    # (200, 77, 7) and (3, 1000, 9) are one-block cross calls, and
+    # (700, 300, 7) and (450, 450, 8) take several blocks with a remainder,
+    # either way round
     SHAPES = [(1, 1, 1), (2, 2, 3), (29, 29, 4500), (30, 30, 4500), (31, 31, 4500), (500, 500, 9),
               (501, 501, 9), (257, 129, 33), (1000, 3, 2), (3, 1000, 2), (1000, 1000, 1),
               (300, 300, 4), (250, 170, 3), (100, 100, 5), (100, 100, 6),

@@ -272,21 +272,20 @@ class TestBruteForce:
 class TestGibbs:
     def test_conditionals_sum_to_one(self):
         t = ising_target(grid_ising(2, 2, 0.7))
-        state = np.ones(4)
-        p = conditional_probs(t, state, 2)
-        assert p.sum() == pytest.approx(1.0, abs=1e-15)
+        states = enumerate_states(t.alphabet, 4)
+        p = conditional_probs(t, states, 2)
+        assert p.shape == (16, 2)
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_uniform_long_run_mean(self):
+        # independent chains in place of one long run, one sweep each: without
+        # couplings one sweep draws exactly
         t = ising_target(IsingParams(dims=3, edges=()))
         rng = stream_rng(10, 0)
-        state = np.ones(3)
-        total = np.zeros(3)
-        sweeps = 4000
-        for _ in range(sweeps):
-            gibbs_sweep(t, state, rng)
-            total += state
-        stderr = 1.0 / np.sqrt(sweeps)
-        assert np.all(np.abs(total / sweeps) < 3.5 * stderr)
+        chains = 4000
+        states = gibbs_sweep(t, np.ones((chains, 3)), rng)
+        stderr = 1.0 / np.sqrt(chains)
+        assert np.all(np.abs(states.mean(axis=0)) < 3.5 * stderr)
 
     def test_strong_edge_agreement_frequency(self):
         t = ising_target(IsingParams(dims=2, edges=((0, 1, 3.0),)))
@@ -294,13 +293,12 @@ class TestGibbs:
         states = enumerate_states(t.alphabet, 2)
         p_agree = probs[(states[:, 0] == states[:, 1])].sum()
         rng = stream_rng(11, 0)
-        state = np.array([1.0, -1.0])
-        hits = 0
-        sweeps = 6000
-        for _ in range(sweeps):
+        chains = 6000
+        state = np.tile([1.0, -1.0], (chains, 1))
+        for _ in range(5):
             gibbs_sweep(t, state, rng)
-            hits += state[0] == state[1]
-        assert abs(hits / sweeps - p_agree) < 0.02
+        hits = np.sum(state[:, 0] == state[:, 1])
+        assert abs(hits / chains - p_agree) < 0.02
 
     def test_sweep_preserves_exact_distribution(self):
         # explicit 4x4 transition matrix of one systematic sweep has the exact
@@ -311,13 +309,13 @@ class TestGibbs:
 
         def coord_kernel(coord):
             k = np.zeros((4, 4))
+            p = conditional_probs(t, states, coord)
             for i, s in enumerate(states):
-                p = conditional_probs(t, s.copy(), coord)
                 for a_idx, a in enumerate(t.alphabet):
                     new = s.copy()
                     new[coord] = a
                     j = next(m for m, r in enumerate(states) if np.array_equal(r, new))
-                    k[i, j] += p[a_idx]
+                    k[i, j] += p[i, a_idx]
             return k
 
         transition = coord_kernel(0) @ coord_kernel(1)
@@ -417,14 +415,17 @@ class TestBatchContract:
         steinis.path_integration_logZ(self.P, self.Q0, self.Q0_LOGPDF, 10, 3, KernelSpec(1.0),
                                       svgd.StepSchedule(mode="constant", eps=0.05), 50, self.rng())
 
+    SURROGATES = {"base": discrete.base_surrogate(ISING),
+                  "relaxed": discrete.smooth_relaxation_surrogate(ISING, 10.0)}
+
     @pytest.mark.parametrize("mode", ["base", "relaxed"])
     def test_sample_discrete(self, mode):
-        discrete.sample_discrete(self.ISING, mode, 10, 3, self.KERN, self.ADAM, self.rng())
+        discrete.sample_discrete(self.ISING, self.SURROGATES[mode], 10, 3, self.KERN, self.ADAM, self.rng())
 
     @pytest.mark.parametrize("mode", ["base", "relaxed"])
     def test_gof(self, mode):
         z = sample_discrete_target(self.rng(), 20, self.ISING)
-        gof.gof_test(z, self.ISING, m=20, surrogate_mode=mode)
+        gof.gof_test(z, self.ISING, self.SURROGATES[mode], m=20)
 
     def test_bbis_gram(self):
         x = self.Q0(self.rng(), 10)
@@ -432,5 +433,5 @@ class TestBatchContract:
 
     def test_oracles(self):
         brute_force_distribution(self.ISING)
-        gibbs_sweep(self.ISING, np.ones(4), self.rng())
+        gibbs_sweep(self.ISING, np.ones((3, 4)), self.rng())
         finite_difference_score(self.P, np.array([0.1, 0.2]), 1e-5)
