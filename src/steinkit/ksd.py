@@ -1,9 +1,8 @@
 """Kernelized Stein discrepancy machinery, assembled as Gram matrices.
 
 ``stein_gram`` is the score-based Stein kernel matrix kappa_p(x_i, y_j) between
-two point sets (by default the square Gram over one), ``stein_gram_cross``
-the same given a score function, ``gf_stein_gram`` the gradient-free
-importance-weighted matrix w_i kappa_rho(x_i, x_j) w_j and
+two point sets (by default the square Gram over one), ``gf_stein_gram`` the
+gradient-free importance-weighted matrix w_i kappa_rho(x_i, x_j) w_j and
 ``alpha_stein_gram`` the density-power-weighted variant.  U/V statistics
 are read off a Gram, and black-box importance sampling weights solve a
 simplex-constrained quadratic program in the gradient-free Gram.
@@ -54,11 +53,6 @@ def stein_gram(
     g += (2.0 / h) * k * (ay[None, :] - bt)
     g += k * (2.0 * d / h - 4.0 * sq / h ** 2)
     return g
-
-
-def stein_gram_cross(x: np.ndarray, y: np.ndarray, score_fn: Callable, h: float) -> np.ndarray:
-    """Rectangular kappa matrix between two point sets (used by identity checks)."""
-    return stein_gram(x, score_fn(x), h, y=y, y_scores=score_fn(y))
 
 
 def gf_stein_gram(

@@ -33,7 +33,6 @@ MAX_EPS_HALVINGS = 5
 @dataclass(frozen=True)
 class LeaderFollowerEnsemble:
     leaders: np.ndarray
-    followers: np.ndarray
     follower_log_q: np.ndarray
     eps_history: tuple[float, ...]
 
@@ -49,13 +48,14 @@ def leader_velocity_field(
     leaders: np.ndarray,
     target: ContinuousTarget,
     kernel: KernelSpec,
+    sq: np.ndarray,
 ) -> Callable:
     """Velocity field phi built from the leader set, with analytic Jacobian.
 
     Returns ``field(y, with_jacobian=False)`` evaluating phi (m, d) and,
     on request, A(y) = grad phi (m, d, d) at an (m, d) point set; both are
-    averages over the leaders only.  The leaders' squared distances are built
-    once, here, for the bandwidth and for ``field(leaders)`` alike.
+    averages over the leaders only.  ``sq`` is the leaders' square distance
+    matrix, which gives the bandwidth and ``field(leaders)`` alike.
 
     With u_l = x_l - y and k_l = exp(-|u_l|^2 / h), the Jacobian is
 
@@ -76,9 +76,7 @@ def leader_velocity_field(
     x_l = leaders
     if target.score is None:
         raise ValueError("SteinIS requires the target score")
-    # called through the module so that clibench's tracer counts it as the kernels layer
-    sq_ll = kernels.pairwise_sq_dists(x_l, x_l)
-    h = resolve_bandwidth(kernel, x_l, sq_ll)
+    h = resolve_bandwidth(kernel, x_l, sq)
     s_l = target.score(x_l)
     n_l, d = x_l.shape
     ones = np.ones(n_l)
@@ -94,15 +92,15 @@ def leader_velocity_field(
     eye = np.eye(d)
 
     def field(y: np.ndarray, with_jacobian: bool = False):
-        sq = sq_ll if y is x_l else kernels.pairwise_sq_dists(x_l, y)
-        phi = stein_direction(x_l, s_l, ones, float(n_l), h, eval_positions=y, sq=sq)
+        sq_ly = sq if y is x_l else kernels.pairwise_sq_dists(x_l, y)
+        phi = stein_direction(x_l, s_l, ones, float(n_l), h, eval_positions=y, sq=sq_ly)
         if not with_jacobian:
             return phi
-        # exp(-sq / h) is the kernel matrix that stein_direction built for phi,
+        # exp(-sq_ly / h) is the kernel matrix that stein_direction built for phi,
         # bit for bit.  The sums come out as (columns, m), with the points on
         # the inner axis: that layout keeps numpy's loops long, about four
         # times faster than an (m, columns) output at d = 2
-        sums = np.einsum("lm,lf->fm", np.exp(-sq / h), products)
+        sums = np.einsum("lm,lf->fm", np.exp(-sq_ly / h), products)
         colsum, drive, cross, s_cross, x_cross = np.split(sums, split_at)
         s_cross, x_cross = s_cross.reshape(d, d, -1), x_cross.reshape(d, d, -1)
         yc = (y - centre).T
@@ -167,12 +165,12 @@ def run_steinis(
 ) -> SteinISResult:
     """Evolve leaders and followers, tracking follower densities exactly.
 
-    The initial proposal must supply an exact log pdf.  Each iteration builds
-    the map from the leader snapshot, updates every particle by eps * phi, and
-    subtracts each follower's log |det(I + eps A)| from its running log q.  A
-    step whose determinant factor folds (<= 0) is retried with eps halved, up
-    to five times, after which the transform is declared singular; halvings
-    apply to the whole iteration and are recorded in the eps history.
+    The initial proposal must supply an exact log pdf.  Each step of the shared
+    particle loop builds the map from the leader snapshot, moves every particle
+    by eps * phi and subtracts each follower's log |det(I + eps A)| from its
+    running log q.  A step whose determinant factor folds (<= 0) is retried
+    with eps halved, up to five times, after which the transform is declared
+    singular; halvings apply to the whole step and are recorded in the eps history.
     """
     if det_mode not in ("exact", "first-order", "auto"):
         raise ValueError(f"unknown det_mode: {det_mode!r}")
@@ -182,8 +180,10 @@ def run_steinis(
     followers = q0_sampler(rng, n_followers)
     log_q = q0_logpdf(followers)
     eps_history: list[float] = []
-    for it in range(iters):
-        field = leader_velocity_field(leaders, target, kernel)
+
+    def direction(it, x, sq):
+        nonlocal followers, log_q
+        field = leader_velocity_field(x, target, kernel, sq)
         eps = schedule.scalar_eps(it)
         phi_f, jac_f = field(followers, with_jacobian=True)
         log_dets = follower_log_dets(jac_f, eps, det_mode)
@@ -194,18 +194,18 @@ def run_steinis(
                 raise SingularTransformError(f"transform stayed non-invertible after {MAX_EPS_HALVINGS} eps halvings at iteration {it}")
             eps *= 0.5
             log_dets = follower_log_dets(jac_f, eps, det_mode)
-        phi_l = field(leaders)
-        leaders = leaders + eps * phi_l
         followers = followers + eps * phi_f
         log_q = log_q - log_dets
         eps_history.append(eps)
-        check_divergence(it, leaders, followers)
+        check_divergence(it, followers)
+        # scaled by 2^-halvings, which is exact: the loop's step is the halved eps times phi
+        return field(x) * 0.5 ** halvings
+
+    leaders = run_particles(leaders, iters, direction, schedule).positions
     log_w = target.log_density(followers) - log_q
     z_hat = float(np.exp(logsumexp(log_w) - np.log(n_followers)))
     sample = WeightedSample(positions=followers, log_weights=log_w)
-    ensemble = LeaderFollowerEnsemble(
-        leaders=leaders, followers=followers, follower_log_q=log_q, eps_history=tuple(eps_history)
-    )
+    ensemble = LeaderFollowerEnsemble(leaders=leaders, follower_log_q=log_q, eps_history=tuple(eps_history))
     return SteinISResult(sample=sample, z_hat=z_hat, ensemble=ensemble)
 
 

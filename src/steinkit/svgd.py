@@ -111,12 +111,12 @@ def svgd_direction(particles: np.ndarray, target: ContinuousTarget, kernel: Kern
     return stein_direction(particles, target.score(particles), np.ones(n), float(n), h, sq=sq)
 
 
-def check_divergence(it: int, *positions: np.ndarray) -> None:
+def check_divergence(it: int, positions: np.ndarray) -> None:
     """Raise DivergenceError if any coordinate is non-finite or exceeds the
     divergence limit in magnitude after iteration ``it``."""
-    if not all(np.all(np.isfinite(x)) for x in positions):
+    if not np.all(np.isfinite(positions)):
         raise DivergenceError(f"non-finite particle positions at iteration {it}")
-    if max(np.max(np.abs(x)) for x in positions) > DIVERGENCE_LIMIT:
+    if np.max(np.abs(positions)) > DIVERGENCE_LIMIT:
         raise DivergenceError(f"particle positions exceeded {DIVERGENCE_LIMIT:g} at iteration {it}")
 
 

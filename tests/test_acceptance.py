@@ -48,7 +48,8 @@ def test_criterion_1_stein_identities():
     # score-based identity E_{x~N(0,1)} kappa_p(x, y0) = 0
     rng = stream_rng(1001, 0)
     x = rng.standard_normal((1_000_000, 1))
-    vals = ksd.stein_gram_cross(x, np.array([[0.5]]), lambda p: -p, 1.0)[:, 0]
+    y0 = np.array([[0.5]])
+    vals = ksd.stein_gram(x, -x, 1.0, y=y0, y_scores=-y0)[:, 0]
     se1 = vals.std(ddof=1) / np.sqrt(vals.size)
     ok1 = abs(vals.mean()) < 4 * se1
 

@@ -208,6 +208,9 @@ def test_each_run_writes_its_files(tmp_path, subcommand, emit_samples):
     ("discrete-sample", {"model": ISING_2X2, "n": 10, "iters": 2, "surrogate_mode": "exact"}, 2),
     ("gof", {"model": ISING_2X2, "data": {"model": {**ISING_2X2, "cols": 1}, "n": 10}}, 2),
     ("svgd", {"model": GAUSS_1D, "n": 5, "iters": 3, "schedule": {"mode": "constant", "eps": 1e9}}, 3),
+    ("steinis", {"model": {"type": "gaussian", "mu": [0.0], "sigma": 0.01}, "q0": {"mu": [0.0], "sigma": 1.0},
+                 "n_leaders": 10, "n_followers": 10, "iters": 5, "schedule": {"mode": "constant", "eps": 5.0},
+                 "det_mode": "exact"}, 3),
 ])
 def test_a_failed_run_writes_no_file(tmp_path, capsys, subcommand, cfg, code):
     rc = run_cli([subcommand, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")])

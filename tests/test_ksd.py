@@ -12,7 +12,6 @@ from steinkit.ksd import (
     simplex_project,
     solve_simplex_qp,
     stein_gram,
-    stein_gram_cross,
     u_statistic_from_gram,
     v_statistic_from_gram,
 )
@@ -87,13 +86,15 @@ class TestSteinKernel:
         x, y = rng.standard_normal((7, 2)), rng.standard_normal((4, 2))
         stacked = np.vstack([x, y])
         square = stein_gram(stacked, std_normal_score(stacked), 1.2)
-        assert stein_gram_cross(x, y, std_normal_score, 1.2) == pytest.approx(square[:7, 7:], rel=1e-12, abs=1e-14)
+        cross = stein_gram(x, std_normal_score(x), 1.2, y=y, y_scores=std_normal_score(y))
+        assert cross == pytest.approx(square[:7, 7:], rel=1e-12, abs=1e-14)
 
     def test_stein_identity_monte_carlo(self):
         # E_{x~N(0,1)} kappa_p(x, y0) = 0, checked with 1e6 draws
         rng = stream_rng(41, 3)
         x = rng.standard_normal((1_000_000, 1))
-        vals = stein_gram_cross(x, np.array([[0.5]]), std_normal_score, 1.0)[:, 0]
+        y0 = np.array([[0.5]])
+        vals = stein_gram(x, std_normal_score(x), 1.0, y=y0, y_scores=std_normal_score(y0))[:, 0]
         stderr = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean()) < 4.0 * stderr
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from steinkit import kernels, steinis
 from steinkit.errors import DivergenceError, InvalidApproximationError, SingularTransformError
@@ -45,14 +46,14 @@ def jacobian_oracle(leaders, scores, h, y):
 class TestVelocityField:
     def test_single_leader_at_mode_is_stationary(self):
         t = gaussian_target(np.zeros(1), 1.0)
-        field = leader_velocity_field(np.zeros((1, 1)), t, KERN)
+        field = leader_velocity_field(np.zeros((1, 1)), t, KERN, np.zeros((1, 1)))
         assert np.array_equal(field(np.zeros((1, 1))), np.zeros((1, 1)))
 
     def test_jacobian_matches_finite_differences(self):
         rng = stream_rng(51, 0)
         t = gaussian_target(np.zeros(2), 1.5)
         leaders = rng.standard_normal((12, 2))
-        field = leader_velocity_field(leaders, t, KERN)
+        field = leader_velocity_field(leaders, t, KERN, kernels.pairwise_sq_dists(leaders, leaders))
         eps = 1e-6
         for _ in range(5):
             y = rng.standard_normal(2)
@@ -73,8 +74,9 @@ class TestVelocityField:
         leaders = rng.standard_normal((40, d)) * 1.3 + offset
         y = rng.standard_normal((30, d)) * 1.8 + offset
         t = gaussian_target(np.full(d, offset), 1.2)
+        sq = kernels.pairwise_sq_dists(leaders, leaders)
         for kernel in (KernelSpec(), KernelSpec(bandwidth=0.3)):
-            _, jac = leader_velocity_field(leaders, t, kernel)(y, with_jacobian=True)
+            _, jac = leader_velocity_field(leaders, t, kernel, sq)(y, with_jacobian=True)
             oracle = jacobian_oracle(leaders, t.score(leaders), kernels.resolve_bandwidth(kernel, leaders), y)
             assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -93,9 +95,10 @@ class TestVelocityField:
         t = gmm_target(np.array([0.3, 0.7]), means, 1.0)
         leaders = rng.standard_normal((40, d)) + means[(rng.random(40) < 0.7).astype(int)]
         y = rng.standard_normal((30, d)) * 1.5 + means[(rng.random(30) < 0.5).astype(int)]
+        sq = kernels.pairwise_sq_dists(leaders, leaders)
         for kernel in (KernelSpec(), KernelSpec(bandwidth=0.3)):
             h = kernels.resolve_bandwidth(kernel, leaders)
-            _, jac = leader_velocity_field(leaders, t, kernel)(y, with_jacobian=True)
+            _, jac = leader_velocity_field(leaders, t, kernel, sq)(y, with_jacobian=True)
             oracle = jacobian_oracle(leaders, t.score(leaders), h, y)
             q = np.max(np.sum((y - leaders.mean(axis=0)) ** 2, axis=1)) / h
             assert np.max(np.abs(jac - oracle)) <= (1e-12 + 1e-14 * q) * np.max(np.abs(oracle))
@@ -103,7 +106,8 @@ class TestVelocityField:
     def test_field_is_the_same_with_or_without_jacobian(self):
         rng = stream_rng(51, 3)
         leaders = rng.standard_normal((30, 3))
-        field = leader_velocity_field(leaders, gaussian_target(np.zeros(3), 1.0), KernelSpec())
+        field = leader_velocity_field(leaders, gaussian_target(np.zeros(3), 1.0), KernelSpec(),
+                                      kernels.pairwise_sq_dists(leaders, leaders))
         for y in (rng.standard_normal((20, 3)), leaders, leaders.copy()):
             assert np.array_equal(field(y), field(y, with_jacobian=True)[0])
         # the leaders' own distances, built for the bandwidth, give the same bits
@@ -114,8 +118,9 @@ class TestVelocityField:
         t = gaussian_target(np.zeros(2), 1.0)
         leaders = rng.standard_normal((9, 2))
         y = rng.standard_normal((4, 2))
-        f1 = leader_velocity_field(leaders, t, KERN)
-        f2 = leader_velocity_field(leaders[rng.permutation(9)], t, KERN)
+        f1 = leader_velocity_field(leaders, t, KERN, kernels.pairwise_sq_dists(leaders, leaders))
+        permuted = leaders[rng.permutation(9)]
+        f2 = leader_velocity_field(permuted, t, KERN, kernels.pairwise_sq_dists(permuted, permuted))
         p1, j1 = f1(y, with_jacobian=True)
         p2, j2 = f2(y, with_jacobian=True)
         assert np.allclose(p1, p2, atol=1e-12)
@@ -258,7 +263,8 @@ class TestRunSteinIS:
         rng = stream_rng(53, 3)
         leaders = rng.standard_normal((300, 2)) * 1.4
         y = rng.standard_normal((600, 2)) * 1.4
-        field = leader_velocity_field(leaders, gaussian_target(np.zeros(2), 1.0), KernelSpec())
+        field = leader_velocity_field(leaders, gaussian_target(np.zeros(2), 1.0), KernelSpec(),
+                                      kernels.pairwise_sq_dists(leaders, leaders))
         phi, jac = field(y, with_jacobian=True)
         assert np.array_equal(field(y), phi)
         for size in (300, 2):
@@ -320,6 +326,42 @@ class TestRunSteinIS:
         zs = np.array(zs)
         true_z = np.sqrt(2 * np.pi)
         assert abs(zs.mean() - true_z) < 3 * zs.std(ddof=1) / np.sqrt(len(zs))
+
+    @pytest.mark.parametrize("det_mode", ["exact", "auto"])
+    def test_replays_by_hand(self, det_mode):
+        # a tight target and eps 0.5: 7 of the 12 steps fold and are taken at 0.25
+        t = gaussian_target(np.zeros(2), 0.1)
+        sampler, q0l = gaussian_sampler(np.zeros(2), 1.0), gaussian_logpdf(np.zeros(2), 1.0)
+        res = run_steinis(t, sampler, q0l, 20, 15, 12, KernelSpec(), StepSchedule(mode="constant", eps=0.5),
+                          stream_rng(3, 0), det_mode=det_mode)
+        rng = stream_rng(3, 0)
+        leaders, followers = sampler(rng, 20), sampler(rng, 15)
+        log_q, history = q0l(followers), []
+        for _ in range(12):
+            field = leader_velocity_field(leaders, t, KernelSpec(), kernels.pairwise_sq_dists(leaders, leaders))
+            phi_f, jac_f = field(followers, with_jacobian=True)
+            eps = 0.5
+            log_dets = follower_log_dets(jac_f, eps, det_mode)
+            while log_dets is None:
+                eps *= 0.5
+                log_dets = follower_log_dets(jac_f, eps, det_mode)
+            leaders, followers = leaders + eps * field(leaders), followers + eps * phi_f
+            log_q, history = log_q - log_dets, history + [eps]
+        log_w = t.log_density(followers) - log_q
+        assert history.count(0.25) == 7 and history.count(0.5) == 5
+        assert tuple(history) == res.ensemble.eps_history
+        assert np.array_equal(res.ensemble.leaders, leaders)
+        assert np.array_equal(res.sample.positions, followers)
+        assert np.array_equal(res.ensemble.follower_log_q, log_q)
+        assert np.array_equal(res.sample.log_weights, log_w)
+        assert res.z_hat == float(np.exp(logsumexp(log_w) - np.log(15)))
+
+    def test_divergence_limit_applies(self):
+        # log p-bar = 500 x^2 pushes every particle outwards without bound
+        t = ContinuousTarget(dim=1, log_density=lambda x: 500.0 * x[:, 0] ** 2, score=lambda x: 1000.0 * x)
+        with pytest.raises(DivergenceError, match="exceeded .* at iteration 11"):
+            run_steinis(t, gaussian_sampler(np.zeros(1), 1.0), gaussian_logpdf(np.zeros(1), 1.0), 10, 10, 50,
+                        KernelSpec(), StepSchedule(mode="constant", eps=0.05), stream_rng(0, 0), det_mode="exact")
 
     def test_adam_schedule_rejected(self):
         t = gaussian_target(np.zeros(1), 1.0)
