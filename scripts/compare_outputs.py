@@ -84,6 +84,11 @@ CONFIGS = [
                                        "surrogate": {"type": "gaussian", "mu": [0.0, 0.0], "sigma": 3.0},
                                        "max_iter": 3000}),
     ("aggregate", "aggregate", 11, {"dim": 2, "machines": 4, "n_grid": [20, 40], "trials": 4}),
+    ("aggregate-all-methods", "aggregate", 11, {"dim": 2, "machines": 4, "n_grid": [20, 40], "trials": 4,
+                                                "methods": ["kl-naive", "kl-control", "kl-weighted", "linear"]}),
+    ("aggregate-known-cov", "aggregate", 11, {"dim": 2, "machines": 4, "n_grid": [20, 40], "trials": 4,
+                                              "methods": ["kl-naive", "kl-control", "kl-weighted", "linear"],
+                                              "known_covariance": True}),
     ("oracle-brute-force", "oracle", 12, {"oracle": "brute-force", "model": ISING_3X3}),
     ("oracle-score", "oracle", 12, {"oracle": "finite-difference-score", "model": GMM_2D, "points": 5}),
 ]

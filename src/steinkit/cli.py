@@ -374,7 +374,7 @@ def run_bbis_cmd(cfg, seed, out):
 
 
 def run_aggregate_cmd(cfg, seed, out, threads=1):
-    from . import aggregation  # scipy.stats and scipy.optimize: imported only by this subcommand
+    from . import aggregation  # scipy.stats and scipy.linalg: imported only by this subcommand
 
     methods = tuple(cfg.get("methods", ["kl-naive", "kl-control", "kl-weighted"]))
     common = dict(n_machines=cfg["machines"], dim=cfg["dim"], n_grid=cfg["n_grid"],

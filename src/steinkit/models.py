@@ -398,12 +398,11 @@ def gaussian_sampler(mu: np.ndarray, sigma: float) -> Callable[[np.random.Genera
 
 def gaussian_logpdf(mu: np.ndarray, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
     """Exact (normalized) log pdf of N(mu, sigma*I), for importance-sampling bases."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    d = mu.size
-    const = -0.5 * d * np.log(2.0 * np.pi * sigma)
+    quadratic = gaussian_target(mu, sigma)
+    const = -0.5 * quadratic.dim * np.log(2.0 * np.pi * sigma)
 
     def logpdf(x):
-        return const - np.sum((x - mu) ** 2, axis=1) / (2.0 * sigma)
+        return const + quadratic.log_density(x)
 
     return logpdf
 

@@ -6,14 +6,11 @@ from steinkit import aggregation
 from steinkit.aggregation import (
     LOG_RATIO_CLIP,
     GaussianModel,
-    GMMModel,
     _bootstrap_fits,
     _draw_asymptotic_local_models,
     _draw_bootstrap,
     _fit,
-    _gaussian_logpdf,
     _gaussian_mle,
-    _gmm_em,
     _ratio_weights,
     control_coefficients,
     empirical_fisher,
@@ -22,11 +19,9 @@ from steinkit.aggregation import (
     kl_average,
     linear_average,
     local_mle,
-    match_components,
     model_logpdf,
     model_sample,
     pack_gaussian,
-    symmetric_kl_gaussians,
     unpack_gaussian,
 )
 from steinkit.rngs import stream_rng
@@ -41,30 +36,6 @@ class TestLocalMLE:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             local_mle(np.zeros((2, 2)))
-
-    def test_single_component_gmm_is_gaussian(self):
-        rng = stream_rng(81, 0)
-        x = rng.standard_normal((50, 2))
-        g = local_mle(x, family="gaussian")
-        mix = local_mle(x, family="gmm", n_components=1)
-        assert np.allclose(mix.means[0], g.mean, atol=1e-12)
-        assert np.allclose(mix.covs[0], g.cov, atol=1e-12)
-
-    def test_em_recovers_separated_mixture(self):
-        rng = stream_rng(81, 1)
-        x = np.vstack([rng.normal(-5, 1, size=(300, 1)), rng.normal(5, 1, size=(300, 1))])
-        fit = local_mle(x, family="gmm", n_components=2, rng=stream_rng(81, 2))
-        means = np.sort(fit.means[:, 0])
-        assert abs(means[0] + 5) < 0.3 and abs(means[1] - 5) < 0.3
-        assert np.allclose(fit.weights, 0.5, atol=0.05)
-
-    def test_weighted_em_with_unit_weights_matches_unweighted(self):
-        rng = stream_rng(81, 3)
-        x = np.vstack([rng.normal(-3, 1, size=(100, 1)), rng.normal(3, 1, size=(100, 1))])
-        a = _gmm_em(x, 2, stream_rng(81, 4))
-        b = _gmm_em(x, 2, stream_rng(81, 4), sample_weights=np.ones(200))
-        assert np.allclose(a.means, b.means, atol=1e-12)
-        assert np.allclose(a.covs, b.covs, atol=1e-12)
 
 
 class TestPackUnpack:
@@ -95,7 +66,7 @@ class TestKLNaive:
         models = [GaussianModel(mean=np.array([m]), cov=np.array([[1.0]])) for m in (-1.0, 0.5, 2.0)]
         rng = stream_rng(83, 1)
         boots = _draw_bootstrap(models, 200, rng)
-        fit = _fit(models[0], np.vstack(boots), None)
+        fit = _fit(np.vstack(boots))
         assert fit.mean[0] == pytest.approx(np.vstack(boots).mean(), rel=1e-12)
 
 
@@ -121,11 +92,6 @@ class TestKLControl:
         for b in bs:
             assert np.allclose(b, -0.25 * np.eye(q), atol=1e-10)
 
-    def test_gmm_rejected(self):
-        g = GMMModel(weights=np.ones(1), means=np.zeros((1, 1)), covs=np.ones((1, 1, 1)))
-        with pytest.raises(ValueError):
-            kl_average("kl-control", [g, g], 10, stream_rng(84, 30))
-
 
 class TestKLWeighted:
     def test_reduces_to_naive_when_refit_equals_original(self):
@@ -133,8 +99,8 @@ class TestKLWeighted:
         rng = stream_rng(85, 0)
         boots = _draw_bootstrap(models, 100, rng)
         pooled = np.vstack(boots)
-        weighted = _fit(models[0], pooled, None, _ratio_weights(models, models, boots))
-        naive = _fit(models[0], pooled, None)
+        weighted = _fit(pooled, _ratio_weights(models, models, boots))
+        naive = _fit(pooled)
         assert np.array_equal(weighted.mean, naive.mean)
         assert np.array_equal(weighted.cov, naive.cov)
 
@@ -142,8 +108,8 @@ class TestKLWeighted:
         models = [GaussianModel(mean=np.array([0.3]), cov=np.array([[1.0]]))]
         rng = stream_rng(85, 1)
         boots = _draw_bootstrap(models, 200, rng)
-        refits = [_fit(m, b, None) for m, b in zip(models, boots)]
-        fit = _fit(models[0], np.vstack(boots), None, _ratio_weights(models, refits, boots))
+        refits = [_fit(b) for b in boots]
+        fit = _fit(np.vstack(boots), _ratio_weights(models, refits, boots))
         w = np.exp(model_logpdf(models[0], boots[0]) - model_logpdf(refits[0], boots[0]))
         x = boots[0][:, 0]
 
@@ -161,34 +127,12 @@ class TestKLWeighted:
 
 
 class TestMatchingAndAveraging:
-    def _gmm(self, order=(0, 1)):
-        means = np.array([[0.0, 0.0], [4.0, 4.0]])[list(order)]
-        covs = np.stack([np.eye(2), 2 * np.eye(2)])[list(order)]
-        weights = np.array([0.3, 0.7])[list(order)]
-        return GMMModel(weights=weights, means=means, covs=covs)
-
     def test_identical_models_average_to_themselves(self):
-        g = self._gmm()
-        res = linear_average([g, g])
-        assert np.allclose(res.means, g.means, atol=1e-12)
-        assert np.allclose(res.weights, g.weights, atol=1e-12)
-
-    def test_swapped_components_recovered(self):
-        a, b = self._gmm(), self._gmm(order=(1, 0))
-        perms = match_components([a, b])
-        assert np.array_equal(perms[1], np.array([1, 0]))
-        res = linear_average([a, b])
-        assert np.allclose(res.means, a.means, atol=1e-12)
-        assert np.allclose(res.weights, a.weights, atol=1e-12)
-
-    def test_symmetric_kl_unit_shift(self):
-        val = symmetric_kl_gaussians(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
-        assert val == pytest.approx(1.0, rel=1e-12)
-
-    def test_component_count_mismatch(self):
-        one = GMMModel(weights=np.ones(1), means=np.zeros((1, 1)), covs=np.ones((1, 1, 1)))
-        with pytest.raises(ValueError):
-            match_components([self._gmm(), one])
+        a = stream_rng(87, 1).standard_normal((3, 3))
+        g = GaussianModel(mean=np.array([0.5, -1.0, 2.0]), cov=a @ a.T + np.eye(3))
+        res = linear_average([g, g, g])
+        assert np.allclose(res.mean, g.mean, atol=1e-12)
+        assert np.allclose(res.cov, g.cov, atol=1e-12)
 
 
 class TestExactKLAverage:
@@ -249,11 +193,11 @@ class TestExperimentPlumbing:
             fit_loglog_slope([10, 20, 40], [0.5, bad, 0.1])
 
     def test_model_sample_matches_moments(self):
-        model = GMMModel(weights=np.array([0.5, 0.5]), means=np.array([[-2.0], [2.0]]),
-                         covs=np.ones((2, 1, 1)))
+        cov = np.array([[2.0, 0.6], [0.6, 0.5]])
+        model = GaussianModel(mean=np.array([1.0, -2.0]), cov=cov)
         x = model_sample(model, stream_rng(87, 0), 200_000)
-        assert abs(x.mean()) < 0.03
-        assert abs((x ** 2).mean() - 5.0) < 0.05
+        assert np.allclose(x.mean(axis=0), model.mean, atol=0.02)
+        assert np.allclose(np.cov(x, rowvar=False), cov, atol=0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +235,7 @@ def known_cov_fits_oracle(models, boots, methods):
     if "kl-weighted" in methods:
         logs = []
         for m, b, tilde in zip(models, boots, mean_tildes):
-            logs.append(_gaussian_logpdf(b, m.mean, cov) - _gaussian_logpdf(b, tilde, cov))
+            logs.append(model_logpdf(GaussianModel(m.mean, cov), b) - model_logpdf(GaussianModel(tilde, cov), b))
         w = np.exp(np.clip(np.concatenate(logs), -LOG_RATIO_CLIP, LOG_RATIO_CLIP))
         fits["kl-weighted"] = (w @ pooled) / w.sum()
     if "linear" in methods:
@@ -336,9 +280,9 @@ class TestSharedEstimatorPath:
         boots = _draw_bootstrap(models, n, stream_rng(88, trial, 1))
         cov = models[0].cov if known_covariance else None
         oracle = known_cov_fits_oracle if known_covariance else full_family_fits_oracle
-        assert_same_fits(_bootstrap_fits(models, boots, None, ALL_METHODS, cov), oracle(models, boots, ALL_METHODS))
+        assert_same_fits(_bootstrap_fits(models, boots, ALL_METHODS, cov), oracle(models, boots, ALL_METHODS))
         for method in ALL_METHODS:  # one method alone gives the same fit
-            assert_same_fits(_bootstrap_fits(models, boots, None, (method,), cov),
+            assert_same_fits(_bootstrap_fits(models, boots, (method,), cov),
                              oracle(models, boots, (method,)))
 
     def test_rate_experiment_rows_use_the_shared_path(self):
@@ -366,33 +310,3 @@ class TestSharedEstimatorPath:
         for method in ("linear", "kl_naive"):
             with pytest.raises(ValueError, match="unknown KL-averaging method"):
                 kl_average(method, models, 40, stream_rng(89, 1))
-
-    def test_gmm_wrappers_refit_before_the_pooled_fit(self):
-        means = np.array([[-3.0, 0.0], [3.0, 0.0]])
-        models = [GMMModel(weights=np.array([0.4, 0.6]), means=means + 0.1 * k, covs=np.stack([np.eye(2)] * 2))
-                  for k in range(3)]
-        rng = stream_rng(90, 0)
-        boots = _draw_bootstrap(models, 60, rng)
-        refits = [_gmm_em(b, 2, rng) for b in boots]
-        log_ratio = np.concatenate([model_logpdf(h, b) - model_logpdf(t, b) for h, t, b in zip(models, refits, boots)])
-        want = _gmm_em(np.vstack(boots), 2, rng, np.exp(np.clip(log_ratio, -LOG_RATIO_CLIP, LOG_RATIO_CLIP)))
-        got = kl_average("kl-weighted", models, 60, stream_rng(90, 0))
-        for a in ("weights", "means", "covs"):
-            assert np.array_equal(getattr(got, a), getattr(want, a))
-        rng = stream_rng(90, 1)
-        want = _gmm_em(np.vstack(_draw_bootstrap(models, 60, rng)), 2, rng)
-        got = kl_average("kl-naive", models, 60, stream_rng(90, 1))
-        for a in ("weights", "means", "covs"):
-            assert np.array_equal(getattr(got, a), getattr(want, a))
-        # both pooled fits after every refit, naive before weighted
-        rng = stream_rng(90, 2)
-        boots = _draw_bootstrap(models, 60, rng)
-        fits = _bootstrap_fits(models, boots, rng, ("kl-naive", "kl-weighted"))
-        rng = stream_rng(90, 2)
-        boots = _draw_bootstrap(models, 60, rng)
-        refits = [_gmm_em(b, 2, rng) for b in boots]
-        naive = _gmm_em(np.vstack(boots), 2, rng)
-        weighted = _gmm_em(np.vstack(boots), 2, rng, _ratio_weights(models, refits, boots))
-        for got, want in ((fits["kl-naive"], naive), (fits["kl-weighted"], weighted)):
-            for a in ("weights", "means", "covs"):
-                assert np.array_equal(getattr(got, a), getattr(want, a))

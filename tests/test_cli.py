@@ -433,8 +433,9 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
     def test_cli_import_leaves_aggregation_unloaded(self):
-        # aggregation pulls in scipy.stats and scipy.optimize and only `aggregate` needs them;
-        # no subcommand needs scipy.linalg
-        code = "import sys, steinkit.cli; print([m in sys.modules for m in ('steinkit.aggregation', 'scipy.linalg')])"
+        # aggregation pulls in scipy.stats and scipy.linalg and only `aggregate` needs them; scipy.stats
+        # and scipy.optimize cost about 0.45 s of import time, which every subcommand would pay
+        heavy = ("steinkit.aggregation", "scipy.linalg", "scipy.stats", "scipy.optimize")
+        code = f"import sys, steinkit.cli; print([m in sys.modules for m in {heavy!r}])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout.strip() == "[False, False]"
+        assert proc.returncode == 0 and proc.stdout.strip() == str([False] * len(heavy))
