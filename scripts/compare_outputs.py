@@ -10,7 +10,7 @@ exit code, the ``error:`` line and every output file (``summary.json``,
 ``metrics.csv``, ``samples.csv``, ``report.json``, ``rates.csv``) byte for
 byte.  Prints one line per config and exits 1 if any config differs.  The
 data files that some configs read are written here, once, and both
-checkouts read the same copy.  The whole list takes about 15 s on two
+checkouts read the same copy.  The whole list takes about 20 s on two
 cores.
 """
 
@@ -36,6 +36,8 @@ GAUSS_2D = {"type": "gaussian", "mu": [0.0, 0.0], "sigma": 1.0}
 GMM_2D = {"type": "gmm", "weights": [0.3, 0.7], "means": [[-1.0, 0.5], [1.5, -0.5]], "sigma": 0.8,
           "normalized": True, "log_scale": math.log(2.0)}
 ISING_3X3 = {"type": "ising-grid", "rows": 3, "cols": 3, "theta": 0.2}
+RBM_6 = {"type": "bernoulli-rbm-random", "dims": 6, "hidden": 3}
+CATEGORICAL = {"type": "categorical", "states": [-1.0, 0.0, 2.0], "masses": [0.2, 0.5, 0.3]}
 Q0_2D = {"mu": [0.0, 0.0], "sigma": 2.0}
 STEINIS = {"model": GMM_2D, "q0": Q0_2D, "n_leaders": 50, "n_followers": 50, "iters": 40,
            "schedule": {"mode": "decay", "eps": 0.3, "decay_exponent": 0.5}}
@@ -70,6 +72,8 @@ CONFIGS = [
     ("discrete-base", "discrete-sample", 8, {**DISCRETE, "surrogate_mode": "base"}),
     ("discrete-relaxed", "discrete-sample", 8, {**DISCRETE, "surrogate_mode": "relaxed"}),
     ("discrete-ising", "discrete-sample", 8, {**DISCRETE, "surrogate_mode": "ising"}),
+    ("discrete-rbm-relaxed", "discrete-sample", 8, {**DISCRETE, "model": RBM_6, "surrogate_mode": "relaxed"}),
+    ("discrete-categorical", "discrete-sample", 8, {**DISCRETE, "model": CATEGORICAL}),
     ("gof-base-model-data", "gof", 9, {"model": ISING_3X3, "data": GOF_MODEL_DATA, "m": 300,
                                        "surrogate_mode": "base"}),
     ("gof-base-path-data", "gof", 9, {"model": ISING_3X3, "data": GOF_PATH_DATA, "m": 300,
@@ -78,6 +82,8 @@ CONFIGS = [
                                           "surrogate_mode": "relaxed", "kernel_h": 2.0}),
     ("gof-relaxed-path-data", "gof", 9, {"model": ISING_3X3, "data": GOF_PATH_DATA, "m": 300,
                                          "surrogate_mode": "relaxed"}),
+    ("gof-ising-lam", "gof", 9, {"model": ISING_3X3, "data": GOF_MODEL_DATA, "m": 300,
+                                 "surrogate_mode": "ising", "lam": 2.5}),
     ("bbis-median", "bbis", 10, {"model": GMM_2D, "points": {"mu": [0.0, 0.0], "sigma": 2.0, "n": 60},
                                  "max_iter": 3000}),
     ("bbis-fixed-h-path", "bbis", 10, {"model": GMM_2D, "points": {"path": "POINTS_DATA"}, "kernel_h": 1.0,

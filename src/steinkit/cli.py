@@ -298,7 +298,9 @@ def _discrete_surrogate(cfg: dict, target: models.DiscreteTarget) -> models.Cont
     """The surrogate that ``surrogate_mode`` names: the one table of mode names.
     The factories are called through ``discrete`` so that clibench's tracer
     times them.  ``lam`` without ``ising`` and ``temperature`` without
-    ``relaxed`` are config errors, since no surrogate would read them."""
+    ``relaxed`` are config errors, since no surrogate would read them.  A
+    model that a mode's factory cannot serve (``ising`` without couplings,
+    ``relaxed`` without a relaxed energy) raises ``ValueError``: exit 2."""
     mode = cfg.get("surrogate_mode", "base")
     for key, reader in (("lam", "ising"), ("temperature", "relaxed")):
         if key in cfg and mode != reader:
@@ -308,10 +310,7 @@ def _discrete_surrogate(cfg: dict, target: models.DiscreteTarget) -> models.Cont
     if mode == "relaxed":
         return discrete.smooth_relaxation_surrogate(target, cfg.get("temperature", 10.0))
     # the schema admits no mode but these three
-    spec = cfg["model"]
-    if spec["type"] != "ising-grid":
-        raise ConfigError("surrogate_mode 'ising' needs an ising-grid model")
-    return discrete.ising_surrogate(models.grid_ising(spec["rows"], spec["cols"], spec["theta"]), cfg.get("lam"))
+    return discrete.ising_surrogate(target, cfg.get("lam"))
 
 
 def run_discrete_sample_cmd(cfg, seed, out):

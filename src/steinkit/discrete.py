@@ -22,7 +22,7 @@ from scipy.special import expit, ndtr, ndtri
 from .errors import InvalidLambdaError
 from .gfsvgd import GFSVGDResult, run_gf_svgd
 from .kernels import KernelSpec
-from .models import ContinuousTarget, DiscreteTarget, IsingParams
+from .models import ContinuousTarget, DiscreteTarget
 from .svgd import StepSchedule
 
 
@@ -110,21 +110,23 @@ def exact_pc_surrogate(target: DiscreteTarget) -> ContinuousTarget:
                             score=lambda x: -x)
 
 
-def ising_surrogate(params: IsingParams, lam: Optional[float] = None) -> ContinuousTarget:
-    """Gaussian-form Ising surrogate obtained by dropping the sign map:
-    rho(x) = exp(-x' (A + lam I) x / 2) with A the negated coupling matrix.
+def ising_surrogate(target: DiscreteTarget, lam: Optional[float] = None) -> ContinuousTarget:
+    """Gaussian-form surrogate of an Ising target obtained by dropping the
+    sign map: rho(x) = exp(-x' (A + lam I) x / 2) with A the negated
+    ``target.couplings``.  A target without couplings raises ``ValueError``.
 
     ``lam`` defaults to 1 + max row sum of |A|, which makes A + lam I
     diagonally dominant and hence always positive definite; positive
     definiteness of the supplied lam is verified by a Cholesky attempt.
     """
-    m = params.coupling_matrix()
-    a = -m
+    if target.couplings is None:
+        raise ValueError("the ising surrogate needs an Ising target, one with couplings")
+    a = -target.couplings
     if lam is None:
         lam = 1.0 + float(np.max(np.abs(a).sum(axis=1)))
     if not lam > 0:
         raise InvalidLambdaError("lambda must be positive")
-    prec = a + lam * np.eye(params.dims)
+    prec = a + lam * np.eye(target.dims)
     try:
         np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
@@ -136,7 +138,7 @@ def ising_surrogate(params: IsingParams, lam: Optional[float] = None) -> Continu
     def score(x):
         return -(x @ prec)
 
-    return ContinuousTarget(dim=params.dims, log_density=logp, score=score)
+    return ContinuousTarget(dim=target.dims, log_density=logp, score=score)
 
 
 def sign_relaxation(t: np.ndarray) -> np.ndarray:
@@ -186,9 +188,11 @@ def sample_discrete(
     rng: np.random.Generator,
 ) -> DiscreteSampleResult:
     """Draw approximate samples from a discrete target via GF-SVGD on p_c,
-    driven by ``surrogate`` (``base_surrogate``, ``smooth_relaxation_surrogate``
-    or ``ising_surrogate``).  Particles start from the standard-normal base,
-    and the final particles map to states through the quantile bins.
+    driven by ``surrogate`` (``base_surrogate(target)``,
+    ``smooth_relaxation_surrogate(target, temperature)`` or
+    ``ising_surrogate(target, lam)``).  Particles start from the
+    standard-normal base, and the final particles map to states through the
+    quantile bins.
     """
     result = run_gf_svgd(
         target=pc_target(target),

@@ -17,7 +17,7 @@ the test suite and the ``oracle`` CLI subcommand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,12 +47,15 @@ class DiscreteTarget:
     (n, dims) gradient of ``log_mass`` on real vectors, given when the model's
     algebra extends off the lattice (Ising, RBM): the smooth relaxation
     surrogate then evaluates ``log_mass`` itself at the relaxed states.
+    ``couplings`` is the read-only symmetric (dims, dims) coupling matrix of a
+    pairwise model (Ising), and None for every other target.
     """
 
     dims: int
     alphabet: tuple[float, ...]
     log_mass: Callable[[np.ndarray], np.ndarray]
     relaxed_score: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    couplings: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.alphabet) < 2:
@@ -76,31 +79,6 @@ class GaussBernoulliRBMParams:
             raise ValueError("inconsistent RBM parameter shapes")
         if not all(np.all(np.isfinite(a)) for a in (B, b, c)):
             raise ValueError("RBM parameters must be finite")
-
-
-@dataclass(frozen=True)
-class IsingParams:
-    """Pairwise couplings on edges (i, j, theta_ij) over d binary spins."""
-
-    dims: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        edges = tuple((int(i), int(j), float(t)) for i, j, t in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for i, j, t in edges:
-            if not (0 <= i < j < self.dims):
-                raise ValueError(f"edge ({i}, {j}) violates 0 <= i < j < dims")
-            if not np.isfinite(t):
-                raise ValueError("edge coupling must be finite")
-
-    def coupling_matrix(self) -> np.ndarray:
-        """Symmetric matrix M with M[i, j] = M[j, i] = theta_ij, zero diagonal."""
-        m = np.zeros((self.dims, self.dims))
-        for i, j, t in self.edges:
-            m[i, j] += t
-            m[j, i] += t
-        return m
 
 
 @dataclass(frozen=True)
@@ -239,9 +217,20 @@ def sample_gauss_bernoulli_rbm(rng: np.random.Generator, n: int, params: GaussBe
 # Discrete targets
 # ---------------------------------------------------------------------------
 
-def ising_target(params: IsingParams) -> DiscreteTarget:
-    """Ising model p(z) proportional to exp(sum_{(i,j) in E} theta_ij z_i z_j), z in {-1,+1}^d."""
-    m = params.coupling_matrix()
+def ising_target(couplings: np.ndarray) -> DiscreteTarget:
+    """Ising model p(z) proportional to exp(z'Mz / 2), z in {-1,+1}^d, for a
+    symmetric coupling matrix M with zero diagonal: each edge (i, j) adds
+    M[i, j] z_i z_j once."""
+    m = np.array(couplings, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"couplings must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("couplings must be finite")
+    if not np.array_equal(m, m.T):
+        raise ValueError("couplings must be symmetric")
+    if np.any(np.diag(m) != 0):
+        raise ValueError("couplings must have a zero diagonal")
+    m.flags.writeable = False
 
     def log_mass(z):
         # 0.5 z'Mz double-counts each edge once, matching the single-sum energy
@@ -251,24 +240,24 @@ def ising_target(params: IsingParams) -> DiscreteTarget:
         return x @ m
 
     return DiscreteTarget(
-        dims=params.dims,
+        dims=m.shape[0],
         alphabet=(-1.0, 1.0),
         log_mass=log_mass,
         relaxed_score=relaxed_score,
+        couplings=m,
     )
 
 
-def grid_ising(rows: int, cols: int, theta: float) -> IsingParams:
-    """Uniform-coupling Ising model on a rows x cols lattice (4-neighbour)."""
-    edges = []
-    for r in range(rows):
-        for col in range(cols):
-            i = r * cols + col
-            if col + 1 < cols:
-                edges.append((i, i + 1, theta))
-            if r + 1 < rows:
-                edges.append((i, i + cols, theta))
-    return IsingParams(dims=rows * cols, edges=tuple(edges))
+def grid_ising(rows: int, cols: int, theta: float) -> np.ndarray:
+    """Coupling matrix of the uniform-coupling Ising model on a rows x cols
+    lattice (4-neighbour): theta between lattice neighbours, zero elsewhere."""
+    d = rows * cols
+    edges = [(i, i + 1) for i in range(d) if (i + 1) % cols] + [(i, i + cols) for i in range(d - cols)]
+    m = np.zeros((d, d))
+    for i, j in edges:
+        m[i, j] += theta
+        m[j, i] += theta
+    return m
 
 
 def bernoulli_rbm_target(params: BernoulliRBMParams) -> DiscreteTarget:

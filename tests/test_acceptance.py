@@ -75,7 +75,7 @@ def test_criterion_2_score_correctness():
     )
     anchors = rng.standard_normal((8, 3))
     cases["kernel-curve"] = gfsvgd.kernel_curve_surrogate(anchors, rng.standard_normal(8), 1.5)
-    cases["ising-surrogate"] = discrete.ising_surrogate(models.grid_ising(2, 3, 0.4))
+    cases["ising-surrogate"] = discrete.ising_surrogate(models.ising_target(models.grid_ising(2, 3, 0.4)))
     rbm_t = models.bernoulli_rbm_target(models.random_bernoulli_rbm(rng, 5, 3))
     cases["relaxed-rbm-surrogate"] = discrete.smooth_relaxation_surrogate(rbm_t, 10.0)
 
@@ -190,8 +190,7 @@ def test_criterion_8_discrete_sampler():
 
 
 def test_criterion_9_gof_calibration_and_power():
-    null_params = models.grid_ising(3, 3, 0.2)
-    null = models.ising_target(null_params)
+    null = models.ising_target(models.grid_ising(3, 3, 0.2))
     relaxed = discrete.smooth_relaxation_surrogate(null, 10.0)
 
     def rejection_rate(theta_data, n, reps, seed):

@@ -28,7 +28,6 @@ from steinkit.kernels import KernelSpec
 from steinkit.models import (
     ContinuousTarget,
     DiscreteTarget,
-    IsingParams,
     bernoulli_rbm_target,
     brute_force_distribution,
     enumerate_states,
@@ -93,7 +92,7 @@ class TestInverseNormalCdf:
 
 class TestGammaMap:
     def test_binary_is_sign_with_upper_boundary(self):
-        t = ising_target(IsingParams(dims=1, edges=()))
+        t = ising_target(np.zeros((1, 1)))
         x = np.array([[-0.3], [0.0], [2.0]])
         assert np.array_equal(gamma_map(x, t), np.array([[-1.0], [1.0], [1.0]]))
 
@@ -144,14 +143,12 @@ class TestPcDensity:
 
 class TestSurrogates:
     def test_ising_surrogate_no_coupling(self):
-        params = IsingParams(dims=3, edges=())
-        s = ising_surrogate(params, lam=2.0)
+        s = ising_surrogate(ising_target(np.zeros((3, 3))), lam=2.0)
         x = stream_rng(63, 0).standard_normal((6, 3))
         assert np.allclose(s.score(x), -2.0 * x, atol=1e-14)
 
     def test_ising_surrogate_score_finite_differences(self):
-        params = grid_ising(2, 3, 0.4)
-        s = ising_surrogate(params)
+        s = ising_surrogate(ising_target(grid_ising(2, 3, 0.4)))
         t = ContinuousTarget(dim=6, log_density=s.log_density, score=s.score)
         rng = stream_rng(63, 1)
         for _ in range(20):
@@ -161,13 +158,12 @@ class TestSurrogates:
             assert np.linalg.norm(s.score(x[None])[0] - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
     def test_default_lambda_is_diagonally_dominant(self):
-        params = grid_ising(3, 3, 0.9)
-        ising_surrogate(params)  # must not raise
+        ising_surrogate(ising_target(grid_ising(3, 3, 0.9)))  # must not raise
 
     def test_invalid_lambda(self):
-        params = grid_ising(2, 2, 2.0)
+        t = ising_target(grid_ising(2, 2, 2.0))
         with pytest.raises(InvalidLambdaError):
-            ising_surrogate(params, lam=1e-6)
+            ising_surrogate(t, lam=1e-6)
 
     def test_sign_relaxation_shape(self):
         assert sign_relaxation(0.0) == 0.0
@@ -195,6 +191,13 @@ class TestSurrogates:
         with pytest.raises(ValueError):
             smooth_relaxation_surrogate(t, 10.0)
 
+    def test_ising_surrogate_needs_couplings(self):
+        rbm = bernoulli_rbm_target(random_bernoulli_rbm(stream_rng(63, 4), dims=3, hidden=2))
+        for t in (rbm, categorical_target([-1.0, 1.0], [0.4, 0.6])):
+            assert t.couplings is None
+            with pytest.raises(ValueError, match="ising"):
+                ising_surrogate(t)
+
 
 class TestContinuize:
     def test_round_trip_exact(self):
@@ -213,7 +216,7 @@ class TestContinuize:
         assert result.pvalue > 0.01
 
     def test_binary_positive_state_maps_right_half(self):
-        t = ising_target(IsingParams(dims=1, edges=()))
+        t = ising_target(np.zeros((1, 1)))
         z = np.ones((1000, 1))
         x = continuize_data(z, t, stream_rng(64, 2))
         assert np.all(x > 0)
@@ -270,9 +273,8 @@ class TestSampleDiscrete:
         assert np.max(np.abs(freq - 0.2)) < 3 * stderr
 
     def test_ising_surrogate_matches_site_marginals(self):
-        params = grid_ising(3, 3, 0.2)
-        t = ising_target(params)
+        t = ising_target(grid_ising(3, 3, 0.2))
         oracle = brute_force_distribution(t) @ enumerate_states(t.alphabet, t.dims)
-        via_ising = sample_discrete(t, ising_surrogate(params), n=500, iters=400, kernel=KernelSpec(),
+        via_ising = sample_discrete(t, ising_surrogate(t), n=500, iters=400, kernel=KernelSpec(),
                                     schedule=StepSchedule(mode="adam", eps=0.05), rng=stream_rng(65, 2))
         assert np.max(np.abs(via_ising.states.mean(axis=0) - oracle)) < 0.1

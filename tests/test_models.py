@@ -12,7 +12,6 @@ from steinkit.models import (
     ContinuousTarget,
     DiscreteTarget,
     GaussBernoulliRBMParams,
-    IsingParams,
     bernoulli_rbm_target,
     brute_force_distribution,
     conditional_probs,
@@ -171,33 +170,38 @@ class TestGaussBernoulliRBM:
         assert np.max(np.abs(offsets - offsets[0])) <= 1e-10
 
 
+ONE_EDGE = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
 class TestIsing:
     def test_zero_coupling_is_uniform(self):
-        t = ising_target(IsingParams(dims=3, edges=()))
+        t = ising_target(np.zeros((3, 3)))
         p = brute_force_distribution(t)
         assert np.allclose(p, 1.0 / 8.0, atol=1e-15)
 
     def test_single_edge_mass_ratio(self):
-        t = ising_target(IsingParams(dims=2, edges=((0, 1, 1.0),)))
+        t = ising_target(ONE_EDGE)
         lp = t.log_mass(np.array([[1.0, 1.0], [1.0, -1.0]]))
         assert np.exp(lp[0] - lp[1]) == pytest.approx(np.exp(2.0), rel=1e-12)
 
     def test_brute_force_d2_analytic(self):
-        t = ising_target(IsingParams(dims=2, edges=((0, 1, 1.0),)))
+        t = ising_target(ONE_EDGE)
         p = brute_force_distribution(t)
         z = 2 * np.exp(1.0) + 2 * np.exp(-1.0)
         expected = np.array([np.exp(1.0), np.exp(-1.0), np.exp(-1.0), np.exp(1.0)]) / z
         assert np.allclose(p, expected, atol=1e-14)
 
     def test_grid_marginals_against_independent_enumeration(self):
-        params = grid_ising(3, 3, 0.2)
-        t = ising_target(params)
+        t = ising_target(grid_ising(3, 3, 0.2))
         probs = brute_force_distribution(t)
         states = enumerate_states(t.alphabet, t.dims)
-        # independent oracle: per-state energy via explicit python loop
+        # independent oracle: the 3x3 lattice's 12 edges, listed by hand, and
+        # per-state energies by an explicit python loop
+        edges = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8),
+                 (0, 3), (3, 6), (1, 4), (4, 7), (2, 5), (5, 8)]
         oracle_logm = []
         for s in states:
-            e = sum(theta * s[i] * s[j] for i, j, theta in params.edges)
+            e = sum(0.2 * s[i] * s[j] for i, j in edges)
             oracle_logm.append(e)
         oracle = np.exp(np.array(oracle_logm))
         oracle /= oracle.sum()
@@ -205,11 +209,26 @@ class TestIsing:
         marginals = probs @ states
         assert np.allclose(marginals, oracle @ states, atol=1e-12)
 
-    def test_invalid_edges(self):
+    def test_target_holds_its_couplings_read_only(self):
+        m = grid_ising(2, 2, 0.3)
+        t = ising_target(m)
+        assert np.array_equal(t.couplings, m) and t.couplings is not m
+        m[0, 1] = 5.0  # the target keeps its own copy
+        assert t.couplings[0, 1] == 0.3
         with pytest.raises(ValueError):
-            IsingParams(dims=3, edges=((1, 1, 0.5),))
-        with pytest.raises(ValueError):
-            IsingParams(dims=3, edges=((2, 1, 0.5),))
+            t.couplings[0, 1] = 1.0
+
+    def test_rejects_invalid_couplings(self):
+        for couplings in (
+            np.zeros((2, 3)),                           # not square
+            np.zeros(4),                                # not a matrix
+            np.array([[0.0, 0.5], [0.4, 0.0]]),         # not symmetric
+            np.array([[0.1, 0.5], [0.5, 0.0]]),         # nonzero diagonal
+            np.array([[0.0, np.nan], [np.nan, 0.0]]),   # not finite
+            np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        ):
+            with pytest.raises(ValueError):
+                ising_target(couplings)
 
 
 class TestBernoulliRBM:
@@ -249,8 +268,7 @@ class TestBernoulliRBM:
 
 class TestBruteForce:
     def test_probability_vector(self):
-        params = grid_ising(2, 2, 0.3)
-        p = brute_force_distribution(ising_target(params))
+        p = brute_force_distribution(ising_target(grid_ising(2, 2, 0.3)))
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p >= 0)
 
@@ -280,7 +298,7 @@ class TestGibbs:
     def test_uniform_long_run_mean(self):
         # independent chains in place of one long run, one sweep each: without
         # couplings one sweep draws exactly
-        t = ising_target(IsingParams(dims=3, edges=()))
+        t = ising_target(np.zeros((3, 3)))
         rng = stream_rng(10, 0)
         chains = 4000
         states = gibbs_sweep(t, np.ones((chains, 3)), rng)
@@ -288,7 +306,7 @@ class TestGibbs:
         assert np.all(np.abs(states.mean(axis=0)) < 3.5 * stderr)
 
     def test_strong_edge_agreement_frequency(self):
-        t = ising_target(IsingParams(dims=2, edges=((0, 1, 3.0),)))
+        t = ising_target(3.0 * ONE_EDGE)
         probs = brute_force_distribution(t)
         states = enumerate_states(t.alphabet, 2)
         p_agree = probs[(states[:, 0] == states[:, 1])].sum()
@@ -303,7 +321,7 @@ class TestGibbs:
     def test_sweep_preserves_exact_distribution(self):
         # explicit 4x4 transition matrix of one systematic sweep has the exact
         # distribution as a fixed point
-        t = ising_target(IsingParams(dims=2, edges=((0, 1, 0.8),)))
+        t = ising_target(0.8 * ONE_EDGE)
         pi = brute_force_distribution(t)
         states = enumerate_states(t.alphabet, 2)
 
