@@ -8,7 +8,10 @@ and clibench's single-threaded BLAS settings.  The two runs of a config go
 side by side, one process per checkout.  For each config it compares the
 exit code, the ``error:`` line and every output file (``summary.json``,
 ``metrics.csv``, ``samples.csv``, ``report.json``, ``rates.csv``) byte for
-byte.  Prints one line per config and exits 1 if any config differs.  The
+byte.  Prints one line per config and exits 1 if any config differs.  For a
+file that differs, the line gives the largest absolute difference between
+its numbers, taken in order, and says whether the text between the numbers
+is the same.  The
 data files that some configs read are written here, once, and both
 checkouts read the same copy.  The whole list takes about 20 s on two
 cores.
@@ -20,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,6 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "clibench"))
 from run import THREAD_ENV  # noqa: E402
 
 OUTPUT_FILES = ("summary.json", "metrics.csv", "samples.csv", "report.json", "rates.csv")
+# the numbers of an output file as Python and JSON write them
+NUMBER = re.compile(rb"-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|Infinity|inf)|NaN|nan")
 
 GAUSS_2D = {"type": "gaussian", "mu": [0.0, 0.0], "sigma": 1.0}
 GMM_2D = {"type": "gmm", "weights": [0.3, 0.7], "means": [[-1.0, 0.5], [1.5, -0.5]], "sigma": 0.8,
@@ -132,10 +138,28 @@ def outcome(proc: subprocess.Popen, out: Path) -> dict:
     return {"exit": proc.returncode, "error": errors, "files": files}
 
 
+def size_difference(base: bytes, change: bytes) -> str:
+    """How far two versions of a file are apart: the largest absolute
+    difference between their numbers, and whether the rest agrees."""
+    numbers = NUMBER.findall(base), NUMBER.findall(change)
+    if len(numbers[0]) != len(numbers[1]):
+        return f"{len(numbers[0])} against {len(numbers[1])} numbers"
+    largest = 0.0
+    for a, b in zip(*numbers):
+        if a != b:
+            gap = abs(float(a) - float(b))
+            largest = max(largest, gap if gap == gap else math.inf)
+    text = "same" if NUMBER.split(base) == NUMBER.split(change) else "different"
+    return f"max |diff| {largest:.3g}, {text} text"
+
+
 def differences(base: dict, change: dict) -> list[str]:
     diffs = [key for key in ("exit", "error") if base[key] != change[key]]
-    names = sorted(set(base["files"]) | set(change["files"]))
-    return diffs + [name for name in names if base["files"].get(name) != change["files"].get(name)]
+    for name in sorted(set(base["files"]) | set(change["files"])):
+        a, b = base["files"].get(name), change["files"].get(name)
+        if a != b:
+            diffs.append(name if a is None or b is None else f"{name} ({size_difference(a, b)})")
+    return diffs
 
 
 def main() -> int:

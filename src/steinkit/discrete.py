@@ -133,7 +133,7 @@ def ising_surrogate(target: DiscreteTarget, lam: Optional[float] = None) -> Cont
         raise InvalidLambdaError(f"A + lambda*I is not positive definite for lambda={lam}") from exc
 
     def logp(x):
-        return -0.5 * np.einsum("nd,de,ne->n", x, prec, x)
+        return -0.5 * np.einsum("nd,nd->n", x @ prec, x)
 
     def score(x):
         return -(x @ prec)
@@ -159,7 +159,8 @@ def smooth_relaxation_surrogate(target: DiscreteTarget, temperature: float) -> C
     free energy extends off the lattice (Ising, RBM) supply the latter.
     """
     if target.relaxed_score is None:
-        raise ValueError("target does not expose a differentiable relaxed energy")
+        raise ValueError("the relaxed surrogate needs a target with a differentiable relaxed energy, "
+                         "such as an Ising or RBM model")
     tau = float(temperature)
 
     def logp(x):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateWeightsError, MissingScoreError
 from .kernels import KernelSpec, median_bandwidth, resolve_bandwidth  # noqa: F401  (median_bandwidth: clibench tracer)
@@ -29,8 +28,10 @@ from .svgd import (  # noqa: F401  (apply_direction stays importable here for th
 
 
 def effective_sample_size(log_w: np.ndarray) -> float:
-    """(sum w)^2 / sum w^2, computed in log space."""
-    return float(np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w)))
+    """(sum w)^2 / sum w^2, with the weights scaled by the largest first;
+    -inf log-weights count as zero weights."""
+    w = np.exp(log_w - np.max(log_w))
+    return float(w.sum() ** 2 / (w ** 2).sum())
 
 
 @dataclass(frozen=True)

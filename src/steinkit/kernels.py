@@ -17,7 +17,12 @@ import numpy as np
 from .errors import DegenerateEnsembleError
 
 MEDIAN_HEURISTIC = "median-heuristic"
-# doubles in one block of the (rows, m, d) difference temporary of pairwise_sq_dists (1 MB)
+# doubles in one block temporary of pairwise_sq_dists (1 MB): the (rows, m, d)
+# differences of a cross call, the (rows, n) norm sums of a square call.  In
+# the sampler loop at 500 points in d = 9, norm sums in 1 MB blocks left the
+# loop's (n, n) arrays free of page faults; in 64-128 kB blocks, or as one
+# (n, n) temporary, the distances and the median bandwidth each page-faulted
+# about 450 times a call and took about 1 ms longer
 DIFF_BUDGET = 2 ** 17
 # up to this many coordinates the difference temporary is filled per coordinate;
 # above it, by a copy and one subtraction along the point axis.  Against the
@@ -49,25 +54,48 @@ class KernelSpec:
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All squared Euclidean distances between rows of x (n,d) and y (m,d).
 
-    Computed by explicit broadcasting (not a Gram trick), so each entry is a
+    A square call (``y is x``) takes the Gram form on centred points,
+    ``(|xc_i|^2 + |xc_j|^2) - 2 xc_i.xc_j`` with ``xc = x - mean(x)``, as one
+    BLAS product.  The two norms are added first, so the result is exactly
+    symmetric (a + b == b + a); it is clamped at 0 and its diagonal is exactly
+    zero.  Centring keeps the cancellation small for translated ensembles:
+    to first order, each entry is within (2d + 6) eps (|xc_i|^2 + |xc_j|^2)
+    of the explicit sum (4.5 eps (...) at most, measured in d <= 9).  Its
+    bits can depend on the number of BLAS threads.
+
+    A cross call is computed by explicit broadcasting, so each entry is a
     self-contained reduction over the coordinate axis: results do not change
     when either point set is evaluated in chunks.  Rows of ``x`` are taken in
     blocks whose difference temporary holds at most ``DIFF_BUDGET`` doubles
-    (one row at least).  When ``y is x`` each block is computed against
-    columns from its first row on and mirrored into the lower triangle; since
-    (a - b)^2 == (b - a)^2 exactly, the mirrored entries are the same bits.
+    (one row at least).
     """
-    square = y is x
+    if y is x:
+        return _square_sq_dists(x)
     n, m = x.shape[0], y.shape[0]
     out = np.empty((n, m))
     rows = max(1, DIFF_BUDGET // max(1, m * x.shape[1]))
     for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        j0 = i0 if square else 0
-        diff = _differences(x[i0:i1], y[j0:])
-        out[i0:i1, j0:] = np.einsum("ijk,ijk->ij", diff, diff)
-        if square:
-            out[i1:, i0:i1] = out[i0:i1, i1:].T
+        diff = _differences(x[i0:i0 + rows], y)
+        out[i0:i0 + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
+def _square_sq_dists(x: np.ndarray) -> np.ndarray:
+    """The Gram form of ``pairwise_sq_dists(x, x)``, built in the one (n, n)
+    array that the product writes; the norm sums are added a block of rows at
+    a time, each block temporary holding at most ``DIFF_BUDGET`` doubles."""
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    out = xc @ xc.T
+    # norms off the Gram diagonal: identical rows then give an exact 0
+    norms = out.diagonal().copy()
+    rows = max(1, DIFF_BUDGET // max(1, n))
+    for i0 in range(0, n, rows):
+        block = out[i0:i0 + rows]
+        block *= -2.0
+        block += np.add.outer(norms[i0:i0 + rows], norms)
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -130,11 +158,11 @@ def median_bandwidth(points: np.ndarray, sq: Optional[np.ndarray] = None) -> flo
     if not np.all(np.isfinite(v)):
         raise ValueError("median bandwidth needs finite pairwise distances")
     k = v.size // 2
-    part = np.partition(v, k)
+    v.partition(k)  # in place: np.take made v a copy
     if v.size % 2:
-        med = float(np.sqrt(part[k]))
+        med = float(np.sqrt(v[k]))
     else:
-        med = float(np.mean(np.sqrt([part[:k].max(), part[k]])))
+        med = float(np.mean(np.sqrt([v[:k].max(), v[k]])))
     if med <= 0.0:
         raise DegenerateEnsembleError("all points identical: median pairwise distance is zero")
     return med ** 2 / (2.0 * np.log(n + 1.0))

@@ -233,8 +233,9 @@ def ising_target(couplings: np.ndarray) -> DiscreteTarget:
     m.flags.writeable = False
 
     def log_mass(z):
-        # 0.5 z'Mz double-counts each edge once, matching the single-sum energy
-        return 0.5 * np.einsum("nd,de,ne->n", z, m, z)
+        # 0.5 z'Mz double-counts each edge once, matching the single-sum energy;
+        # z @ M runs on BLAS, where a three-operand einsum does not
+        return 0.5 * np.einsum("nd,nd->n", z @ m, z)
 
     def relaxed_score(x):
         return x @ m

@@ -82,10 +82,16 @@ def stein_direction(
     Row i is  (1/Z) * sum_j w_j [ s_j k(x_j, y_i) + grad_{x_j} k(x_j, y_i) ],
     with the RBF gradient expanded analytically.  ``sq`` is
     ``pairwise_sq_dists(src_positions, eval_positions)`` when the caller
-    already has it.  Each output row is a self-contained reduction over the
-    source axis, so evaluating the field on subsets of two or more points
-    yields bit-identical rows (a one-point set is summed in another order).
-    The reductions write (d, m) arrays, so their loops run along the points.
+    already has it.
+
+    A square call (``eval_positions`` omitted or ``src_positions`` itself)
+    takes the drive, the cross term and the column sum from one BLAS product,
+    ``wk' [scores, x, 1]``; its bits can depend on the number of BLAS
+    threads.  A cross call keeps three ``einsum`` reductions that write
+    (d, m) arrays, so their loops run along the points.  Each of its output
+    rows is a self-contained reduction over the source axis, so evaluating
+    the field on subsets of two or more points yields bit-identical rows (a
+    one-point set is summed in another order).
     """
     x = src_positions
     y = x if eval_positions is None else eval_positions
@@ -95,9 +101,14 @@ def stein_direction(
     wk = np.divide(sq, -h)
     np.exp(wk, out=wk)
     wk *= weights[:, None]
-    drive = np.einsum("ji,jd->di", wk, src_scores).T
-    colsum = np.einsum("ji->i", wk)
-    cross = np.einsum("ji,jd->di", wk, x).T
+    if y is x:
+        d = x.shape[1]
+        sums = wk.T @ np.concatenate([src_scores, x, np.ones((x.shape[0], 1))], axis=1)
+        drive, cross, colsum = sums[:, :d], sums[:, d:2 * d], sums[:, 2 * d]
+    else:
+        drive = np.einsum("ji,jd->di", wk, src_scores).T
+        colsum = np.einsum("ji->i", wk)
+        cross = np.einsum("ji,jd->di", wk, x).T
     repulse = (2.0 / h) * (y * colsum[:, None] - cross)
     return (drive + repulse) / normalizer
 

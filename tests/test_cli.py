@@ -75,6 +75,7 @@ class TestValidation:
 GAUSS_1D = {"type": "gaussian", "mu": [0.0], "sigma": 1.0}
 ISING_2X2 = {"type": "ising-grid", "rows": 2, "cols": 2, "theta": 0.2}
 RBM_3 = {"type": "bernoulli-rbm-random", "dims": 3, "hidden": 2}
+CATEGORICAL_3 = {"type": "categorical", "states": [-1.0, 0.0, 2.0], "masses": [0.2, 0.5, 0.3]}
 DUPLICATE_STATES = {"type": "categorical", "states": [0.0, 1.0, 0.0], "masses": [0.2, 0.3, 0.5]}
 GAUSS_2D = {"type": "gaussian", "mu": [0.0, 0.0], "sigma": 1.0}
 SPEC_1D = {"mu": [0.0], "sigma": 1.0}
@@ -106,6 +107,12 @@ BAD_INPUT = {
                                                          "surrogate_mode": "ising"}, None, "ising"),
     "gof-ising-on-rbm": ("gof", {"model": RBM_3, "data": {"model": RBM_3, "n": 20}, "surrogate_mode": "ising"},
                          None, "ising"),
+    # the relaxed mode on a model without a relaxed energy
+    "discrete-sample-relaxed-on-categorical": ("discrete-sample", {"model": CATEGORICAL_3, "n": 10, "iters": 2,
+                                                                   "surrogate_mode": "relaxed"},
+                                               None, "relaxed surrogate"),
+    "gof-relaxed-on-categorical": ("gof", {"model": CATEGORICAL_3, "data": {"model": CATEGORICAL_3, "n": 20},
+                                           "surrogate_mode": "relaxed"}, None, "relaxed surrogate"),
     "categorical-duplicate-states": ("discrete-sample", {"model": DUPLICATE_STATES, "n": 10, "iters": 2}, None),
     "oracle-without-model": ("oracle", {"oracle": "brute-force"}, None),
     "oracle-unread-eps": ("oracle", {"oracle": "finite-difference-score", "model": GAUSS_1D, "eps": 1e-4}, None),

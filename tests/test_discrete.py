@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +160,18 @@ class TestSurrogates:
             fd = finite_difference_score(t, x, eps)
             assert np.linalg.norm(s.score(x[None])[0] - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (10, 10)])
+    def test_ising_surrogate_log_density_matches_three_operand_form(self, rows, cols):
+        t = ising_target(grid_ising(rows, cols, 0.2))
+        s = ising_surrogate(t, lam=2.5)
+        prec = -t.couplings + 2.5 * np.eye(t.dims)
+        gen = np.random.default_rng(rows * cols)
+        lattice = gen.choice([-1.0, 1.0], size=(500, t.dims))
+        relaxed = sign_relaxation(10.0 * gen.standard_normal((500, t.dims)))
+        for x in (lattice, relaxed):
+            three_operand = -0.5 * np.einsum("nd,de,ne->n", x, prec, x)
+            assert np.allclose(s.log_density(x), three_operand, rtol=0.0, atol=1e-12)
+
     def test_default_lambda_is_diagonally_dominant(self):
         ising_surrogate(ising_target(grid_ising(3, 3, 0.9)))  # must not raise
 
@@ -188,7 +203,7 @@ class TestSurrogates:
 
     def test_relaxation_needs_relaxed_energy(self):
         t = categorical_target([-1.0, 1.0], [0.4, 0.6])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="relaxed surrogate"):
             smooth_relaxation_surrogate(t, 10.0)
 
     def test_ising_surrogate_needs_couplings(self):
@@ -278,3 +293,36 @@ class TestSampleDiscrete:
         via_ising = sample_discrete(t, ising_surrogate(t), n=500, iters=400, kernel=KernelSpec(),
                                     schedule=StepSchedule(mode="adam", eps=0.05), rng=stream_rng(65, 2))
         assert np.max(np.abs(via_ising.states.mean(axis=0) - oracle)) < 0.1
+
+
+# 60 iterations of the 3x3 base sampler at n=500, its positions written to argv[1]
+BLAS_THREADS_RUN = """
+import sys
+import numpy as np
+from steinkit.discrete import base_surrogate, sample_discrete
+from steinkit.kernels import KernelSpec
+from steinkit.models import grid_ising, ising_target
+from steinkit.rngs import stream_rng
+from steinkit.svgd import StepSchedule
+t = ising_target(grid_ising(3, 3, 0.2))
+res = sample_discrete(t, base_surrogate(t), n=500, iters=60, kernel=KernelSpec(),
+                      schedule=StepSchedule(mode="adam", eps=0.05), rng=stream_rng(65, 3))
+np.savez(sys.argv[1], states=res.states, positions=res.continuous.ensemble.positions)
+"""
+
+
+def test_blas_thread_count_moves_positions_by_rounding_only(tmp_path):
+    # the square distances and the Stein direction are BLAS products, whose
+    # sums OpenBLAS orders by its thread count, so positions need not be the
+    # same bits at 1 and 2 threads.  Over seeds 3-5 they differed by at most
+    # 3e-13 after 60 iterations (1e-11 after 150, the rounding differences
+    # grow along the trajectory); the bound leaves a factor 300 on that
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN, str(out)], env=env, check=True, timeout=300)
+        runs.append(np.load(out))
+    one, two = runs
+    assert np.array_equal(one["states"], two["states"])
+    assert np.max(np.abs(one["positions"] - two["positions"])) <= 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from steinkit import kernels
 from steinkit.errors import DegenerateWeightsError, MissingScoreError
@@ -283,6 +284,22 @@ def test_effective_sample_size_matches_direct_formula():
     w = np.exp(log_w)
     direct = w.sum() ** 2 / (w ** 2).sum()
     assert effective_sample_size(log_w) == pytest.approx(direct, rel=1e-10)
+
+
+def test_effective_sample_size_matches_log_space_formula():
+    # the log-space form exp(2 logsumexp(log w) - logsumexp(2 log w)), from
+    # spread-out weights (ESS near n) to one dominant weight (ESS near 1)
+    rng = stream_rng(37, 1)
+    for scale in (0.01, 1.0, 10.0, 100.0):
+        log_w = scale * rng.normal(size=500) - 30.0
+        log_space = np.exp(2.0 * logsumexp(log_w) - logsumexp(2.0 * log_w))
+        assert effective_sample_size(log_w) == pytest.approx(log_space, rel=1e-12)
+
+
+def test_effective_sample_size_counts_minus_inf_as_zero_weight():
+    assert effective_sample_size(np.array([-2.0])) == 1.0
+    assert effective_sample_size(np.array([-np.inf, 3.0, -np.inf])) == 1.0
+    assert effective_sample_size(np.array([0.5, -np.inf, 0.5])) == 2.0
 
 
 def test_weighted_sample_normalizes_to_one():

@@ -94,6 +94,25 @@ def broadcast_sq_dists(x, y):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def gram_form_bound(x):
+    """Largest |Gram form - broadcast| that rounding allows, entry by entry.
+
+    With u = eps / 2 and a_i = |xc_i|^2 for the centred points xc, to first
+    order in u: centring moves each coordinate by u |xc_ik| and the distance
+    by at most 4u (a_i + a_j); the two length-d dot products (norm, Gram
+    entry) are off by gamma_d a_i and gamma_d sqrt(a_i a_j) <= gamma_d
+    (a_i + a_j) / 2; the sum of the norms and the subtraction add u (a_i + a_j)
+    and 2u (a_i + a_j).  That is (2d + 7) u (a_i + a_j) for the Gram form.
+    The broadcast itself is off by (d + 2) u |x_i - x_j|^2 <= (2d + 4) u
+    (a_i + a_j).  Together (4d + 11) u = (2d + 5.5) eps, rounded up here.
+    Over the shapes below the largest |difference| / (eps (a_i + a_j)) measured
+    was 4.5 in d <= 9 and 16 in d = 4500.
+    """
+    xc = x - x.mean(axis=0)
+    a = np.einsum("id,id->i", xc, xc)
+    return (2 * x.shape[1] + 6) * np.finfo(float).eps * (a[:, None] + a[None, :])
+
+
 class TestPairwiseSqDists:
     # (29|30|31, d=4500) put one row per block on either side of the block
     # budget; the others cover one block, several blocks, and block remainders.
@@ -110,22 +129,45 @@ class TestPairwiseSqDists:
 
     @pytest.mark.parametrize("n, m, d", SHAPES)
     def test_bit_identical_to_one_shot_broadcast(self, n, m, d):
+        # cross calls; a square call (y is x) takes the Gram form, tested below
         gen = np.random.default_rng(n * 7919 + m * 31 + d)
         x, y = 3.0 * gen.standard_normal((n, d)), gen.standard_normal((m, d)) - 0.5
         cross = pairwise_sq_dists(x, y)
         assert np.array_equal(cross, broadcast_sq_dists(x, y))
         assert np.array_equal(pairwise_sq_dists(y, x), cross.T)
         if n == m:
-            square = pairwise_sq_dists(x, x)
-            assert np.array_equal(square, broadcast_sq_dists(x, x))
-            assert np.array_equal(square, square.T) and not np.any(np.diag(square))
-            y, cross = x, square
+            # the same points as another array object are a cross call
+            assert np.array_equal(pairwise_sq_dists(x, x.copy()), broadcast_sq_dists(x, x))
         # rows of x and rows of y evaluated in halves and one at a time
         hx, hy = n // 2, m // 2
         assert np.array_equal(np.vstack([pairwise_sq_dists(x[:hx], y), pairwise_sq_dists(x[hx:], y)]), cross)
         assert np.array_equal(np.hstack([pairwise_sq_dists(x, y[:hy]), pairwise_sq_dists(x, y[hy:])]), cross)
         assert np.array_equal(np.vstack([pairwise_sq_dists(x[i:i + 1], y) for i in range(n)]), cross)
         assert np.array_equal(np.hstack([pairwise_sq_dists(x, y[j:j + 1]) for j in range(m)]), cross)
+
+
+class TestSquareGramForm:
+    SHAPES = [(n, d) for n, m, d in TestPairwiseSqDists.SHAPES if n == m]
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4])
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_within_rounding_bound_of_broadcast(self, n, d, shift):
+        # shifted by 1e4, an uncentred Gram form would lose about 1e8 * eps per entry
+        x = 3.0 * np.random.default_rng(n * 7919 + d).standard_normal((n, d)) + shift
+        square = pairwise_sq_dists(x, x)
+        assert np.array_equal(square, square.T)
+        assert not np.any(np.diag(square)) and np.all(square >= 0.0)
+        assert np.all(np.abs(square - broadcast_sq_dists(x, x)) <= gram_form_bound(x))
+
+    @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 1e4 + 0.7])
+    @pytest.mark.parametrize("n, d", [(2, 1), (7, 3), (500, 9), (257, 33)])
+    def test_identical_points_stay_degenerate(self, n, d, value):
+        # the mean of identical points need not be their value, so the
+        # centred rows are equal but need not be zero
+        pts = np.full((n, d), value)
+        assert not np.any(pairwise_sq_dists(pts, pts))
+        with pytest.raises(DegenerateEnsembleError):
+            median_bandwidth(pts)
 
 
 class TestMedianBandwidth:
@@ -138,11 +180,13 @@ class TestMedianBandwidth:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 500, 501, 502])
     def test_bit_identical_to_full_median(self, n):
         # n(n-1)/2 pairs is odd for n in {2, 3, 502} and even for {4, 5, 500, 501};
-        # the points of a 3-column integer lattice tie on many distances
+        # the points of a 3-column integer lattice tie on many distances.  The
+        # partition is checked on the broadcast distances; the square distances
+        # that median_bandwidth builds itself take the Gram form (TestSquareGramForm)
         lattice = np.stack([np.arange(n) % 3, np.arange(n) // 3], axis=1).astype(float)
         for pts in (np.random.default_rng(n).standard_normal((n, 3)), lattice):
-            assert median_bandwidth(pts) == self.old_formula(pts)
-            assert median_bandwidth(pts, pairwise_sq_dists(pts, pts)) == self.old_formula(pts)
+            assert median_bandwidth(pts, broadcast_sq_dists(pts, pts)) == self.old_formula(pts)
+            assert median_bandwidth(pts) == median_bandwidth(pts, pairwise_sq_dists(pts, pts))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):

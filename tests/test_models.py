@@ -184,6 +184,18 @@ class TestIsing:
         lp = t.log_mass(np.array([[1.0, 1.0], [1.0, -1.0]]))
         assert np.exp(lp[0] - lp[1]) == pytest.approx(np.exp(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (10, 10)])
+    def test_log_mass_matches_three_operand_energy(self, rows, cols):
+        # z @ M then a row-wise dot sums in another order than the
+        # three-operand einsum; energies here are at most 0.2 * 180 = 36
+        m = grid_ising(rows, cols, 0.2)
+        gen = np.random.default_rng(rows * cols)
+        lattice = gen.choice([-1.0, 1.0], size=(500, rows * cols))
+        relaxed = gen.uniform(-1.0, 1.0, size=(500, rows * cols))
+        for z in (lattice, relaxed):
+            three_operand = 0.5 * np.einsum("nd,de,ne->n", z, m, z)
+            assert np.allclose(ising_target(m).log_mass(z), three_operand, rtol=0.0, atol=1e-12)
+
     def test_brute_force_d2_analytic(self):
         t = ising_target(ONE_EDGE)
         p = brute_force_distribution(t)

@@ -110,8 +110,28 @@ class TestVelocityField:
                                       kernels.pairwise_sq_dists(leaders, leaders))
         for y in (rng.standard_normal((20, 3)), leaders, leaders.copy()):
             assert np.array_equal(field(y), field(y, with_jacobian=True)[0])
-        # the leaders' own distances, built for the bandwidth, give the same bits
-        assert np.array_equal(field(leaders), field(leaders.copy()))
+        # field(leaders) reuses the leaders' own distances, a square call in the
+        # Gram form; field(leaders.copy()) is a cross call.  The two agree up to
+        # rounding: each squared distance is within (2d + 6) eps (a_i + a_j) of
+        # the broadcast, a_i the squared norm of the centred leader (see
+        # test_kernels.gram_form_bound), so each kernel entry k is within
+        # k ((2d + 6) eps (a_i + a_j) / h + 2 eps) after exp; the sums add
+        # (n + 5) eps times the sum of |terms|, as in
+        # test_svgd.test_square_direction_within_rounding_bound_of_id_layout
+        n, d = leaders.shape
+        eps = np.finfo(float).eps
+        h = kernels.median_bandwidth(leaders, kernels.pairwise_sq_dists(leaders, leaders))
+        xc = leaders - leaders.mean(axis=0)
+        a = np.einsum("id,id->i", xc, xc)
+        k = np.exp(-kernels.pairwise_sq_dists(leaders, leaders.copy()) / h)
+        dk = k * ((2 * d + 6) * eps * (a[:, None] + a[None, :]) / h + 2 * eps)
+
+        def size(kk):  # sum_j kk_ji (|s_j| + (2/h)(|x_i| + |x_j|)) with s = -x
+            return kk.T @ np.abs(leaders) + (2.0 / h) * (np.abs(leaders) * kk.sum(axis=0)[:, None]
+                                                         + kk.T @ np.abs(leaders))
+
+        bound = ((n + 5) * eps * size(k) + size(dk)) / n
+        assert np.all(np.abs(field(leaders) - field(leaders.copy())) <= bound)
 
     def test_leader_permutation_invariance(self):
         rng = stream_rng(51, 1)

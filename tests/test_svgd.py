@@ -71,15 +71,36 @@ def id_layout_direction(x, s, w, z, h, y):
 @pytest.mark.parametrize("d", [1, 2, 6, 9, 25])
 @pytest.mark.parametrize("n", [1, 2, 3, 70])
 def test_direction_bit_identical_to_id_layout(n, d):
-    # m = 1 is the one-row set: it matches the oracle on that row, not a row of the whole
+    # cross calls; m = 1 is the one-row set: it matches the oracle on that row,
+    # not a row of the whole.  The square call is tested below
     gen = np.random.default_rng(100 * n + d)
     x, s = gen.standard_normal((n, d)), gen.standard_normal((n, d))
     w, h = gen.uniform(0.1, 3.0, n), 0.7 * d
-    assert np.array_equal(stein_direction(x, s, w, 2.5, h), id_layout_direction(x, s, w, 2.5, h, x))
+    y = x.copy()
+    assert np.array_equal(stein_direction(x, s, w, 2.5, h, eval_positions=y), id_layout_direction(x, s, w, 2.5, h, y))
     for m in (1, 2, 3, 65):
         y = 1.5 * gen.standard_normal((m, d))
         assert np.array_equal(stein_direction(x, s, w, 2.5, h, eval_positions=y),
                               id_layout_direction(x, s, w, 2.5, h, y))
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 9, 25])
+@pytest.mark.parametrize("n", [1, 2, 3, 70, 500])
+def test_square_direction_within_rounding_bound_of_id_layout(n, d):
+    # Both sides build the same kernel matrix wk from the same square distances
+    # and differ only in how they sum.  Each of the three sums over n sources
+    # is off by at most gamma_n ~ n u times its sum of |terms| on either side,
+    # and the five operations after them add u times B_i each, where
+    # B_i = sum_j wk_ji (|s_j| + (2/h)(|y_i| + |x_j|)) bounds every
+    # intermediate of row i.  Together (2n + 10) u B_i / z = (n + 5) eps B_i / z
+    gen = np.random.default_rng(100 * n + d)
+    x, s = gen.standard_normal((n, d)), gen.standard_normal((n, d))
+    w, h, z = gen.uniform(0.1, 3.0, n), 0.7 * d, 2.5
+    wk = np.exp(-pairwise_sq_dists(x, x) / h) * w[:, None]
+    b = wk.T @ np.abs(s) + (2.0 / h) * (np.abs(x) * wk.sum(axis=0)[:, None] + wk.T @ np.abs(x))
+    square = stein_direction(x, s, w, z, h)
+    assert np.array_equal(square, stein_direction(x, s, w, z, h, eval_positions=x))
+    assert np.all(np.abs(square - id_layout_direction(x, s, w, z, h, x)) <= (n + 5) * np.finfo(float).eps * b / z)
 
 
 class TestStep:
